@@ -12,56 +12,15 @@ the module's central cross-check; all functions are pure in the snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flat_model import GeometryAt, Point, deformed_metric, geometry_at
 from .kulkarni import form_obar, form_owedge
-from .pseudo_linear import DEFAULT_FD_STEP, QuadCov, finite_diff_gradient
+from .pseudo_linear import DEFAULT_FD_STEP, BilinearForm, QuadCov, finite_diff_gradient
 
 
-@dataclass(frozen=True)
-class ConnectionCorrection:
-    """The correction S as a d x d x d array: arr[i, a, b] = (S_{e_a} e_b)_i."""
-
-    arr: np.ndarray
-
-    def apply(self, a_vec: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
-        return np.einsum("iab,a,b->i", self.arr, a_vec, b_vec)
-
-    @property
-    def d(self) -> int:
-        return self.arr.shape[0]
-
-
-@dataclass(frozen=True)
-class CurvatureTensors:
-    """Both curvature routes at one point, plus the flat input kept explicit.
-
-    ``r_flat`` is the (lowered) curvature of the undeformed metric, identically
-    zero for this family but carried so the formulas stay in their general
-    shape. ``t_lowered`` is the twist-corrected curvature contribution of the
-    defining route, lowered with the deformed metric.
-    """
-
-    r_flat: QuadCov
-    t_lowered: QuadCov
-    rtilde_direct: QuadCov
-    rtilde_closed: QuadCov
-
-
-def _zero_r(geom: GeometryAt, r_curv: np.ndarray | None) -> np.ndarray:
-    if r_curv is None:
-        return np.zeros((geom.d,) * 4)
-    r = np.asarray(r_curv, dtype=float)
-    if r.shape != (geom.d,) * 4:
-        raise ValueError(f"curvature input must have shape {(geom.d,) * 4}, got {r.shape}")
-    return r
-
-
-def s_closed_tensor(geom: GeometryAt) -> ConnectionCorrection:
-    """Closed formula for the correction:
+def s_closed_tensor(geom: GeometryAt) -> np.ndarray:
+    """Closed formula for the correction, as arr[i, a, b] = (S_{e_a} e_b)_i:
 
     S_A B = 1/2 sum_mu [ g(I_mu I_h A, B) I_mu Z / f_h
                          - (alpha_mu(A) I_mu I_1 B + alpha_mu(B) I_mu I_1 A) / f_z ]
@@ -77,12 +36,7 @@ def s_closed_tensor(geom: GeometryAt) -> ConnectionCorrection:
         s += 0.5 / geom.f_h * np.einsum("ab,i->iab", coeff, im @ z)
         s -= 0.5 / geom.f_z * (np.einsum("a,ib->iab", geom.alpha[mu], im_i1)
                                + np.einsum("b,ia->iab", geom.alpha[mu], im_i1))
-    return ConnectionCorrection(s)
-
-
-def s_closed(geom: GeometryAt, a_vec: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
-    """Closed-formula correction evaluated on a pair of tangent vectors."""
-    return s_closed_tensor(geom).apply(a_vec, b_vec)
+    return s
 
 
 def _solve_koszul(g_h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -92,7 +46,7 @@ def _solve_koszul(g_h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.solve(g_h, flat).reshape(d, d, d)
 
 
-def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> ConnectionCorrection:
+def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Deformation part of the correction, from the Koszul cyclic sum.
 
     2 g_h(S^h_A B, C) = (D_A g_h)(B, C) + (D_B g_h)(C, A) - (D_C g_h)(A, B),
@@ -108,10 +62,10 @@ def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> Connection
 
     d_gh = finite_diff_gradient(metric_field, geom.point.coords, step=step, order=4)
     rhs = d_gh + np.einsum("bca->abc", d_gh) - np.einsum("cab->abc", d_gh)
-    return ConnectionCorrection(_solve_koszul(geom.g_h.mat, rhs))
+    return _solve_koszul(geom.g_h.mat, rhs)
 
 
-def s_q_tensor(geom: GeometryAt) -> ConnectionCorrection:
+def s_q_tensor(geom: GeometryAt) -> np.ndarray:
     """Twist part of the correction, from the Koszul formula across the twist:
 
     2 g_h(S^q_A B, C) = [g_h(Z,C) w_h(A,B) - g_h(Z,A) w_h(B,C) - g_h(Z,B) w_h(A,C)] / f_h
@@ -120,34 +74,26 @@ def s_q_tensor(geom: GeometryAt) -> ConnectionCorrection:
     oh = geom.omega_h.mat
     rhs = (np.einsum("c,ab->abc", gz, oh) - np.einsum("a,bc->abc", gz, oh)
            - np.einsum("b,ac->abc", gz, oh)) / geom.f_h
-    return ConnectionCorrection(_solve_koszul(geom.g_h.mat, rhs))
+    return _solve_koszul(geom.g_h.mat, rhs)
 
 
-def s_parts_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> ConnectionCorrection:
+def s_parts_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Correction as the sum of the deformation and twist Koszul pieces."""
-    return ConnectionCorrection(s_h_tensor(geom, step=step).arr + s_q_tensor(geom).arr)
+    return s_h_tensor(geom, step=step) + s_q_tensor(geom)
 
 
-def s_from_parts(geom: GeometryAt, a_vec: np.ndarray, b_vec: np.ndarray,
-                 *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Koszul-route correction evaluated on a pair of tangent vectors."""
-    return s_parts_tensor(geom, step=step).apply(a_vec, b_vec)
-
-
-def term_ds_closed(geom: GeometryAt, r_curv: np.ndarray | None = None) -> np.ndarray:
+def term_ds_closed(geom: GeometryAt) -> np.ndarray:
     """Closed expression for the antisymmetrized derivative (D_A S)_B C - (D_B S)_A C.
 
-    Returned as arr[i, a, b, c]. The curvature of the undeformed metric enters
-    one term and is zero here; it is accepted as an explicit input.
+    Returned as arr[i, a, b, c]. The curvature of the undeformed metric would
+    enter one term; the family is flat, so that term is absent.
     """
     d = geom.d
     f_z, f_h = geom.f_z, geom.f_h
     g, i_h, oh, dz, z = geom.g.mat, geom.i_h.mat, geom.omega_h.mat, geom.dz.mat, geom.z_rot
     i1 = geom.i_mu[1]
-    r = _zero_r(geom, r_curv)
     ohz = oh.T @ z              # omega_h(Z, a)
     a1 = geom.alpha[1]
-    rz = np.einsum("jabz,z->jab", r, z)   # R(A, B) Z
 
     out = np.zeros((d,) * 4)
     for mu in range(4):
@@ -165,8 +111,7 @@ def term_ds_closed(geom: GeometryAt, r_curv: np.ndarray | None = None) -> np.nda
                                  - np.einsum("b,a,ic->iabc", a1, v, im)
                                  - np.einsum("b,c,ia->iabc", a1, v, im))
         out += 0.5 / f_h * (np.einsum("bc,ia->iabc", w, im_dz)
-                            - np.einsum("ac,ib->iabc", w, im_dz)
-                            + 2.0 * np.einsum("jab,jc,i->iabc", rz, om, im_z))
+                            - np.einsum("ac,ib->iabc", w, im_dz))
         out += 0.25 / f_z * (np.einsum("ac,ib->iabc", p + om, im)
                              - np.einsum("bc,ia->iabc", p + om, im)
                              + np.einsum("ab,ic->iabc", om - om.T, im))
@@ -221,42 +166,22 @@ def dz_plus_sz_closed(geom: GeometryAt) -> np.ndarray:
     return out
 
 
-def _s_field(geom: GeometryAt, source: str, step: float):
-    params = geom.params
+def _s_tensor(geom: GeometryAt, source: str, step: float) -> np.ndarray:
     if source == "parts":
-        def field(c):
-            return s_parts_tensor(geometry_at(params, Point(c)), step=step).arr
-    elif source == "closed":
-        def field(c):
-            return s_closed_tensor(geometry_at(params, Point(c))).arr
-    else:
-        raise ValueError(f"unknown correction source {source!r}")
-    return field
+        return s_parts_tensor(geom, step=step)
+    if source == "closed":
+        return s_closed_tensor(geom)
+    raise ValueError(f"unknown correction source {source!r}")
 
 
 def term_ds_fd(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
                s_source: str = "closed") -> np.ndarray:
     """Defining evaluation of (D_A S)_B C - (D_B S)_A C by differentiating S."""
-    d_s = finite_diff_gradient(_s_field(geom, s_source, step), geom.point.coords, step=step)
+    def field(c):
+        return _s_tensor(geometry_at(geom.params, Point(c)), s_source, step)
+
+    d_s = finite_diff_gradient(field, geom.point.coords, step=step)
     return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
-
-
-def t_tensor_terms(geom: GeometryAt, a_vec: np.ndarray, b_vec: np.ndarray, c_vec: np.ndarray,
-                   *, step: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three constituents of the twisted curvature, from their definitions.
-
-    Returns ((D_A S)_B C - (D_B S)_A C, [S_A, S_B] C, (DZ + S_Z) C): the first
-    by finite differences of the closed correction, the others algebraically.
-    """
-    s = s_closed_tensor(geom).arr
-    ds = term_ds_fd(geom, step=step, s_source="closed")
-    term_ds = np.einsum("iabc,a,b,c->i", ds, a_vec, b_vec, c_vec)
-    s_a = np.einsum("iab,a->ib", s, a_vec)
-    s_b = np.einsum("iab,a->ib", s, b_vec)
-    term_comm = s_a @ (s_b @ c_vec) - s_b @ (s_a @ c_vec)
-    s_z = np.einsum("iab,a->ib", s, geom.z_rot)
-    term_dzsz = (geom.dz.mat + s_z) @ c_vec
-    return term_ds, term_comm, term_dzsz
 
 
 def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
@@ -268,73 +193,53 @@ def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
 
     as arr[i, a, b, c], with the derivative of S taken by finite differences.
     """
-    s = (s_parts_tensor(geom, step=step) if s_source == "parts"
-         else s_closed_tensor(geom)).arr
+    s = _s_tensor(geom, s_source, step)
     ds = term_ds_fd(geom, step=step, s_source=s_source)
     comm = (np.einsum("iaj,jbc->iabc", s, s) - np.einsum("ibj,jac->iabc", s, s))
     dzsz = geom.dz.mat + np.einsum("iac,a->ic", s, geom.z_rot)
     return ds + comm - np.einsum("ab,ic->iabc", geom.omega_h.mat, dzsz) / geom.f_h
 
 
-def t_tensor(geom: GeometryAt, a_vec: np.ndarray, b_vec: np.ndarray, c_vec: np.ndarray,
-             *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Defining-route T evaluated on three tangent vectors (closed S inside)."""
-    term_ds, term_comm, term_dzsz = t_tensor_terms(geom, a_vec, b_vec, c_vec, step=step)
-    w_ab = float(a_vec @ geom.omega_h.mat @ b_vec)
-    return term_ds + term_comm - (w_ab / geom.f_h) * term_dzsz
+def form_block(geom: GeometryAt, form: BilinearForm) -> np.ndarray:
+    """Curvature-type block of one form F of the closed curvature route:
+
+    F . F + sum_k F_k .bar. F_k for the metric g_h,
+    F .bar. F + sum_k F_k . F_k for the twist form w_h,
+
+    with F_k = F(I_k ., .), the symmetric-form product . for symmetric forms
+    and the two-form product .bar. for antisymmetric ones.
+    """
+    own, turned = ((form_owedge, form_obar) if form.symmetry == "symmetric"
+                   else (form_obar, form_owedge))
+    mat = form.mat
+    block = own(mat, mat).arr
+    for k in (1, 2, 3):
+        mat_k = geom.i_mu[k].T @ mat
+        block += turned(mat_k, mat_k).arr
+    return block
 
 
-def _lower_with(metric: np.ndarray, tensor13: np.ndarray) -> np.ndarray:
-    return np.einsum("iabc,ix->abcx", tensor13, metric)
-
-
-def rtilde_closed(geom: GeometryAt, r_curv: np.ndarray | None = None) -> QuadCov:
+def rtilde_closed(geom: GeometryAt) -> QuadCov:
     """Closed route for the lowered curvature of the twisted deformation:
 
-    g(R(A,B)C, X)/f_z
-      + 1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]
+    1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]
       - 1/(8 f_z f_h) [w_h .bar. w_h + sum_k w_h(I_k.,.) . w_h(I_k.,.)]
 
-    where . is the symmetric-form product and .bar. the two-form product.
+    where . is the symmetric-form product and .bar. the two-form product. The
+    general formula has a further term g(R(A,B)C, X)/f_z, which vanishes
+    because the undeformed metric is flat.
     """
-    g_h, oh = geom.g_h.mat, geom.omega_h.mat
-    first = form_owedge(g_h, g_h).arr
-    second = form_obar(oh, oh).arr
-    for k in (1, 2, 3):
-        ik = geom.i_mu[k]
-        first += form_obar(ik.T @ g_h, ik.T @ g_h).arr
-        second += form_owedge(ik.T @ oh, ik.T @ oh).arr
-    out = first / 8.0 - second / (8.0 * geom.f_z * geom.f_h)
-    if r_curv is not None:
-        out = out + _lower_with(geom.g.mat, _zero_r(geom, r_curv)) / geom.f_z
-    return QuadCov(out)
+    return QuadCov(form_block(geom, geom.g_h) / 8.0
+                   - form_block(geom, geom.omega_h) / (8.0 * geom.f_z * geom.f_h))
 
 
 def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
-                  s_source: str = "parts", r_curv: np.ndarray | None = None) -> QuadCov:
-    """Defining route: lower R + T with the deformed metric.
+                  s_source: str = "parts") -> QuadCov:
+    """Defining route: lower T with the deformed metric (R + T with R = 0).
 
     With the default source the correction itself comes from the Koszul
     pieces, so this path shares nothing with the closed formulas it is
     checked against.
     """
     t13 = t_tensor_defining(geom, step=step, s_source=s_source)
-    if r_curv is not None:
-        t13 = t13 + _zero_r(geom, r_curv)
-    return QuadCov(_lower_with(geom.g_h.mat, t13))
-
-
-def curvature_tensors(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
-                      s_source: str = "parts") -> CurvatureTensors:
-    """Both curvature routes at one point, with the flat input kept explicit."""
-    d = geom.d
-    r_flat = QuadCov.zero(d)
-    t13 = t_tensor_defining(geom, step=step, s_source=s_source)
-    t_lowered = QuadCov(_lower_with(geom.g_h.mat, t13))
-    direct = QuadCov(t_lowered.arr + _lower_with(geom.g_h.mat, r_flat.arr))
-    return CurvatureTensors(
-        r_flat=r_flat,
-        t_lowered=t_lowered,
-        rtilde_direct=direct,
-        rtilde_closed=rtilde_closed(geom),
-    )
+    return QuadCov(np.einsum("iabc,ix->abcx", t13, geom.g_h.mat))

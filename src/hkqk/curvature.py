@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correspondence import rtilde_closed
+from .correspondence import form_block, rtilde_closed
 from .errors import DomainViolation
 from .flat_model import GeometryAt
-from .kulkarni import form_obar, form_owedge
 from .pseudo_linear import (
     BilinearForm,
     Frame,
@@ -112,7 +111,7 @@ def k_trace_residuals(geom: GeometryAt, *, max_exponent: int = 6) -> dict[str, f
             max(abs(np.trace(power @ i_h @ ik)) for ik in iks),
         )
         power = power @ k
-    return {"closed_vs_matrix_rel": worst_rel, "vanishing_traces_abs": worst_vanish}
+    return {"k_trace_closed_vs_matrix_rel": worst_rel, "k_trace_vanishing_abs": worst_vanish}
 
 
 def model_space_part(geom: GeometryAt) -> QuadCov:
@@ -120,12 +119,7 @@ def model_space_part(geom: GeometryAt) -> QuadCov:
 
     -1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]
     """
-    g_h = geom.g_h.mat
-    acc = form_owedge(g_h, g_h).arr
-    for j in (1, 2, 3):
-        ik = geom.i_mu[j]
-        acc = acc + form_obar(ik.T @ g_h, ik.T @ g_h).arr
-    return QuadCov(-acc / 8.0)
+    return QuadCov(-form_block(geom, geom.g_h) / 8.0)
 
 
 def alekseevsky_split(geom: GeometryAt, rtilde: QuadCov) -> tuple[QuadCov, QuadCov, float]:
@@ -169,11 +163,7 @@ def invariance_residual(geom: GeometryAt) -> float:
     The combination w_h .bar. w_h + sum_k w_h(I_k.,.) . w_h(I_k.,.) must return
     the same values at (A, B, I_j C, I_j X) as at (A, B, C, X).
     """
-    oh = geom.omega_h.mat
-    block = form_obar(oh, oh).arr
-    for j in (1, 2, 3):
-        ik = geom.i_mu[j]
-        block = block + form_owedge(ik.T @ oh, ik.T @ oh).arr
+    block = form_block(geom, geom.omega_h)
     worst = 0.0
     for j in (1, 2, 3):
         ij = geom.i_mu[j]

@@ -277,16 +277,20 @@ class GeometryAt:
         return np.linalg.inv(self.g_h.mat)
 
 
+def _metric_data(consts: ConstantTensors, f_z: float, z: np.ndarray):
+    """alpha_mu = omega_mu(Z, .) = g(I_mu Z, .), g_alpha = sum_mu alpha_mu^2, g_h = g/f_z + g_alpha/f_z^2."""
+    g = consts.g.mat
+    alpha = (g @ z, consts.omega1.mat.T @ z, consts.omega2.mat.T @ z, consts.omega3.mat.T @ z)
+    g_alpha = sum(np.outer(a, a) for a in alpha)
+    return alpha, g_alpha, g / f_z + g_alpha / f_z ** 2
+
+
 def deformed_metric(params: ModelParams, point: Point,
                     *, corrupt_omega2: bool = False) -> BilinearForm:
     """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain."""
     consts = constant_tensors(params, corrupt_omega2=corrupt_omega2)
-    sc = scalars(params, point)
-    z = vector_z(params, point)
-    g = consts.g.mat
-    alpha = [g @ z, consts.omega1.mat.T @ z, consts.omega2.mat.T @ z, consts.omega3.mat.T @ z]
-    g_alpha = sum(np.outer(a, a) for a in alpha)
-    return BilinearForm.symmetric(g / sc.f_z + g_alpha / sc.f_z ** 2)
+    _, _, g_h = _metric_data(consts, scalars(params, point).f_z, vector_z(params, point))
+    return BilinearForm.symmetric(g_h)
 
 
 def geometry_at(params: ModelParams, point: Point,
@@ -295,13 +299,10 @@ def geometry_at(params: ModelParams, point: Point,
     consts = constant_tensors(params, corrupt_omega2=corrupt_omega2)
     sc = scalars(params, point)
     d = params.d
-    g = consts.g.mat
     z = vector_z(params, point)
 
     i_mats = (np.eye(d), consts.i1.mat, consts.i2.mat, consts.i3.mat)
-    alpha = tuple(g @ (i @ z) for i in i_mats)
-    g_alpha = sum(np.outer(a, a) for a in alpha)
-    g_h = g / sc.f_z + g_alpha / sc.f_z ** 2
+    alpha, g_alpha, g_h = _metric_data(consts, sc.f_z, z)
     i_h = consts.i1.mat + 2.0 * consts.dz.mat
     k = sc.f_z * np.eye(d) - (sc.f_z / sc.f_h) * sum(
         np.outer(i @ z, a) for i, a in zip(i_mats, alpha))

@@ -130,15 +130,3 @@ def mixed_pair_trace(e: Endomorphism, k: Endomorphism, metric: BilinearForm,
     ek = e.mat @ k.mat
     t = float(np.trace(ek))
     return 2.0 * t * t - 6.0 * float(np.trace(ek @ ek))
-
-
-def trace_identities(e: Endomorphism, f: Endomorphism, k: Endomorphism, l: Endomorphism,
-                     metric: BilinearForm, *, tol: float = ADJOINT_TOL) -> tuple[float, float, float]:
-    """The three composition traces, computed from plain d x d traces.
-
-    Returns (tr((E.E)(F.F)), tr((K.K)(L.L)), tr((E.E)(K.K))) where the first
-    pairing is the symmetric-form product and the second the two-form product.
-    """
-    return (owedge_pair_trace(e, f),
-            obar_pair_trace(k, l, metric, tol=tol),
-            mixed_pair_trace(e, k, metric, tol=tol))

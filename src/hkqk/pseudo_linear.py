@@ -1,10 +1,10 @@
 """Signature-aware dense linear algebra on a single tangent space.
 
 Everything here is frame-level plumbing: pseudo-orthonormal bases for an
-indefinite metric, metric adjoints, the algebra of operators on the exterior
-square of the tangent space, and central finite differences for fields that
-depend on a base point. All values are dense float64 arrays in one fixed
-coordinate frame, and all functions are pure.
+indefinite metric, the algebra of operators on the exterior square of the
+tangent space, and central finite differences for fields that depend on a
+base point. All values are dense float64 arrays in one fixed coordinate
+frame, and all functions are pure.
 """
 
 from __future__ import annotations
@@ -43,16 +43,6 @@ class Endomorphism:
     @property
     def d(self) -> int:
         return self.mat.shape[0]
-
-    def __matmul__(self, other: "Endomorphism") -> "Endomorphism":
-        return Endomorphism(self.mat @ other.mat)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
-
-    @classmethod
-    def identity(cls, d: int) -> "Endomorphism":
-        return cls(np.eye(d))
 
 
 @dataclass(frozen=True)
@@ -162,10 +152,6 @@ class Lambda2Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def base_dim(self) -> int:
-        return round((1 + np.sqrt(1 + 8 * self.dim)) / 2)
-
     def trace(self) -> float:
         return float(np.trace(self.mat))
 
@@ -194,23 +180,17 @@ def _require_nondegenerate(mat: np.ndarray, what: str, rtol: float = 1e-12) -> N
                                f"(smallest/largest singular value = {sv[-1] / sv[0]:.2e})")
 
 
-def pseudo_gram_schmidt(metric: BilinearForm, seed_basis: np.ndarray | None = None,
-                        *, pivot_tol: float = PIVOT_TOL) -> Frame:
+def pseudo_gram_schmidt(metric: BilinearForm, *, pivot_tol: float = PIVOT_TOL) -> Frame:
     """Pivoted modified Gram-Schmidt with respect to a possibly indefinite metric.
 
-    Produces a frame with B(v_a, v_b) = signs[a] * delta_ab. At each step the
-    remaining candidate with the largest |B(v, v)| is taken; a pivot at or
-    below ``pivot_tol`` raises DegenerateMetric.
+    Starts from the coordinate basis and produces a frame with
+    B(v_a, v_b) = signs[a] * delta_ab. At each step the remaining candidate
+    with the largest |B(v, v)| is taken; a pivot at or below ``pivot_tol``
+    raises DegenerateMetric.
     """
     B = metric.mat
     d = metric.d
-    if seed_basis is None:
-        remaining = [np.eye(d)[k] for k in range(d)]
-    else:
-        seed = np.asarray(seed_basis, dtype=float)
-        if seed.shape != (d, d):
-            raise ValueError(f"seed_basis must supply {d} vectors of dimension {d}")
-        remaining = [seed[k].copy() for k in range(d)]
+    remaining = [np.eye(d)[k] for k in range(d)]
 
     vectors = np.empty((d, d))
     signs = np.empty(d)
@@ -235,14 +215,7 @@ def pseudo_gram_schmidt(metric: BilinearForm, seed_basis: np.ndarray | None = No
     return frame
 
 
-def adjoint(endo: Endomorphism, metric: BilinearForm) -> Endomorphism:
-    """Metric adjoint E* with metric(E* x, y) = metric(x, E y) for all x, y."""
-    B = metric.mat
-    _require_nondegenerate(B, "metric")
-    return Endomorphism(np.linalg.solve(B, endo.mat.T @ B))
-
-
-def check_pair_antisymmetry(arr: np.ndarray, tol: float = 1e-10) -> float:
+def check_pair_antisymmetry(arr: np.ndarray) -> float:
     """Largest violation of antisymmetry in the (1,2) and (3,4) index pairs."""
     return max(np.abs(arr + arr.transpose(1, 0, 2, 3)).max(),
                np.abs(arr + arr.transpose(0, 1, 3, 2)).max())

@@ -76,8 +76,8 @@ def test_criterion_3_connection_oracle():
             params = fm.ModelParams(m, c)
             for point in seeded_points(params, 20, 3):
                 geom = fm.geometry_at(params, point)
-                closed = corr.s_closed_tensor(geom).arr
-                parts = corr.s_parts_tensor(geom).arr
+                closed = corr.s_closed_tensor(geom)
+                parts = corr.s_parts_tensor(geom)
                 worst = max(worst, np.abs(parts - closed).max() / np.abs(closed).max())
     report(3, "Koszul-route correction equals closed formula", worst, 1e-5)
 
@@ -115,8 +115,8 @@ def test_criterion_5_comparison_trace_closed_forms():
             for point in seeded_points(params, 5, 5):
                 geom = fm.geometry_at(params, point)
                 res = curv.k_trace_residuals(geom, max_exponent=6)
-                worst_rel = max(worst_rel, res["closed_vs_matrix_rel"])
-                worst_vanish = max(worst_vanish, res["vanishing_traces_abs"])
+                worst_rel = max(worst_rel, res["k_trace_closed_vs_matrix_rel"])
+                worst_vanish = max(worst_vanish, res["k_trace_vanishing_abs"])
     report(5, "closed traces of comparison powers and vanishing companions",
            max(worst_rel, worst_vanish), 1e-9)
 

@@ -26,12 +26,21 @@ class TestConfigValidation:
 
     def test_negative_c_rejected(self):
         assert main(["verify", "--c", "-1"]) == 2
+        assert main(["verify", "--c", "nan"]) == 2
+        assert main(["verify", "--c", "inf"]) == 2
 
     def test_unknown_tol_override_name(self):
         assert main(["verify", "--tol-override", "bogus=1"]) == 2
 
     def test_malformed_tol_override(self):
         assert main(["verify", "--tol-override", "quaternion_relations"]) == 2
+        assert main(["verify", "--tol-override", "quaternion_relations=nan"]) == 2
+        assert main(["verify", "--tol-override", "quaternion_relations=inf"]) == 2
+
+    def test_non_finite_point_rejected(self):
+        for command in ("norm", "decompose"):
+            assert main([command, "--m", "0", "--point", "nan,0,0,0"]) == 2
+            assert main([command, "--m", "0", "--point", "2,inf,0,0"]) == 2
 
 
 class TestVerify:
@@ -77,6 +86,15 @@ class TestVerify:
         assert len(lines) > 40
         assert all(",true," in line or ",false," in line for line in lines[1:])
 
+    def test_rows_of_both_profiles_cover_every_check(self, tmp_path):
+        names = set()
+        for c in ("0", "1"):
+            _, out = run_json(tmp_path, ["verify", "--m", "0", "--c", c, "--samples", "1"])
+            rows = [r["name"] for r in json.loads(out.read_text())["results"]]
+            assert len(rows) == len(CHECKS) - 1
+            names.update(rows)
+        assert names == set(CHECKS) and len(CHECKS) == 50
+
     def test_every_result_carries_anchor(self, tmp_path):
         _, out = run_json(tmp_path, ["verify", "--m", "0", "--samples", "1"])
         payload = json.loads(out.read_text())
@@ -91,6 +109,9 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert payload["summary"]["failed"] > 0
         assert payload["config"]["tol_scale"] == 1e-12
+        for value in ("nan", "inf"):
+            monkeypatch.setenv("HKQK_TOL_SCALE", value)
+            assert main(["verify", "--m", "0", "--samples", "1"]) == 2
 
     def test_tol_override_can_force_failure(self, tmp_path):
         code, out = run_json(tmp_path, [

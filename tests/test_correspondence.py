@@ -7,18 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hkqk.correspondence import (
-    curvature_tensors,
     dz_plus_sz_closed,
-    t_tensor_terms,
+    form_block,
     rtilde_closed,
     rtilde_direct,
-    s_closed,
     s_closed_tensor,
-    s_from_parts,
     s_h_tensor,
     s_parts_tensor,
     s_q_tensor,
-    t_tensor,
     t_tensor_defining,
     term_comm_closed,
     term_ds_closed,
@@ -32,6 +28,13 @@ CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
 
 def reference_geometry():
     return geometry_at(ModelParams(0, 1.0), Point.from_complex([2.0], [0.0]))
+
+
+def on_vectors(tensor, *vecs):
+    """Contract the lower slots of a (1, k) array with k tangent vectors."""
+    for vec in vecs:
+        tensor = np.tensordot(tensor, vec, axes=([1], [0]))
+    return tensor
 
 
 def correction_by_explicit_sum(geom, a_vec, b_vec):
@@ -58,7 +61,7 @@ def correction_by_explicit_sum(geom, a_vec, b_vec):
 class TestClosedCorrection:
     def test_matches_explicit_sum_at_reference_point(self):
         geom = reference_geometry()
-        value = s_closed(geom, geom.z_rot, geom.z_rot)
+        value = on_vectors(s_closed_tensor(geom), geom.z_rot, geom.z_rot)
         oracle = correction_by_explicit_sum(geom, geom.z_rot, geom.z_rot)
         assert_allclose(value, oracle, atol=1e-13)
 
@@ -66,14 +69,14 @@ class TestClosedCorrection:
         geom = geometry_at(ModelParams(1, 0.5), random_valid_point(ModelParams(1, 0.5), rng))
         for _ in range(10):
             a, b = rng.standard_normal(8), rng.standard_normal(8)
-            assert_allclose(s_closed(geom, a, b),
+            assert_allclose(on_vectors(s_closed_tensor(geom), a, b),
                             correction_by_explicit_sum(geom, a, b), atol=1e-12)
 
     def test_torsion_formula(self, rng):
         for m, c in CONFIGS:
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
-            s = s_closed_tensor(geom).arr
+            s = s_closed_tensor(geom)
             for _ in range(6):
                 a, b = rng.standard_normal(geom.d), rng.standard_normal(geom.d)
                 gap = (np.einsum("iab,a,b->i", s, a, b) - np.einsum("iab,a,b->i", s, b, a)
@@ -91,7 +94,7 @@ class TestClosedCorrection:
             alpha=tuple(np.zeros(geom.d) for _ in range(4)),
             i_h=geom.i1,
         )
-        assert_allclose(s_closed_tensor(degenerate).arr, 0.0)
+        assert_allclose(s_closed_tensor(degenerate), 0.0)
 
 
 class TestKoszulRoute:
@@ -100,21 +103,22 @@ class TestKoszulRoute:
         params = ModelParams(m, c)
         for _ in range(3):
             geom = geometry_at(params, random_valid_point(params, rng))
-            closed = s_closed_tensor(geom).arr
-            parts = s_parts_tensor(geom).arr
+            closed = s_closed_tensor(geom)
+            parts = s_parts_tensor(geom)
             assert np.abs(parts - closed).max() / np.abs(closed).max() < 1e-5
 
     def test_vector_level_wrappers_agree(self, rng):
         params = ModelParams(0, 1.0)
         geom = geometry_at(params, random_valid_point(params, rng))
         a, b = rng.standard_normal(4), rng.standard_normal(4)
-        gap = s_from_parts(geom, a, b) - s_closed(geom, a, b)
-        assert np.abs(gap).max() < 1e-5 * max(1.0, np.abs(s_closed(geom, a, b)).max())
+        closed = on_vectors(s_closed_tensor(geom), a, b)
+        gap = on_vectors(s_parts_tensor(geom), a, b) - closed
+        assert np.abs(gap).max() < 1e-5 * max(1.0, np.abs(closed).max())
 
     def test_twist_part_is_metric_skew(self, rng):
         params = ModelParams(2, 1.0)
         geom = geometry_at(params, random_valid_point(params, rng))
-        sq = s_q_tensor(geom).arr
+        sq = s_q_tensor(geom)
         gh = geom.g_h.mat
         skew = (np.einsum("iab,ic->abc", sq, gh) + np.einsum("iac,ib->abc", sq, gh))
         assert np.abs(skew).max() < 1e-10
@@ -122,7 +126,7 @@ class TestKoszulRoute:
     def test_deformation_part_is_symmetric(self, rng):
         params = ModelParams(1, 0.0)
         geom = geometry_at(params, random_valid_point(params, rng))
-        sh = s_h_tensor(geom).arr
+        sh = s_h_tensor(geom)
         assert np.abs(sh - np.einsum("iba->iab", sh)).max() < 1e-5
 
 
@@ -131,7 +135,7 @@ class TestTTensorTerms:
         for m, c in ((0, 1.0), (1, 0.5), (2, 0.0)):
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
-            s = s_closed_tensor(geom).arr
+            s = s_closed_tensor(geom)
             defining = geom.dz.mat + np.einsum("iac,a->ic", s, geom.z_rot)
             assert np.abs(defining - dz_plus_sz_closed(geom)).max() < 1e-10
 
@@ -140,14 +144,16 @@ class TestTTensorTerms:
         geom = geometry_at(params, random_valid_point(params, rng))
         a = rng.standard_normal(8)
         c = rng.standard_normal(8)
-        _, comm, _ = t_tensor_terms(geom, a, a, c)
-        assert_allclose(comm, 0.0)
+        s = s_closed_tensor(geom)
+        comm = np.einsum("iaj,jbc->iabc", s, s) - np.einsum("ibj,jac->iabc", s, s)
+        assert_allclose(on_vectors(comm, a, a, c), 0.0, atol=1e-12)
+        assert_allclose(on_vectors(term_comm_closed(geom), a, a, c), 0.0, atol=1e-12)
 
     def test_closed_commutator_expression(self, rng):
         for m, c in ((0, 0.0), (2, 1.0)):
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
-            s = s_closed_tensor(geom).arr
+            s = s_closed_tensor(geom)
             defining = (np.einsum("iaj,jbc->iabc", s, s) - np.einsum("ibj,jac->iabc", s, s))
             gap = np.abs(term_comm_closed(geom) - defining).max()
             assert gap < 1e-10 * max(1.0, np.abs(defining).max())
@@ -178,19 +184,25 @@ class TestTTensor:
         params = ModelParams(1, 0.5)
         geom = geometry_at(params, random_valid_point(params, rng))
         a, b, c = (rng.standard_normal(8) for _ in range(3))
-        forward = t_tensor(geom, a, b, c)
-        backward = t_tensor(geom, b, a, c)
+        t13 = t_tensor_defining(geom, s_source="closed")
+        forward = on_vectors(t13, a, b, c)
+        backward = on_vectors(t13, b, a, c)
         assert np.abs(forward + backward).max() < 1e-10 * max(1.0, np.abs(forward).max())
-        assert np.abs(t_tensor(geom, a, a, c)).max() < 1e-10
+        assert np.abs(on_vectors(t13, a, a, c)).max() < 1e-10
 
     def test_assembly_identity(self, rng):
         params = ModelParams(0, 1.0)
         geom = geometry_at(params, random_valid_point(params, rng))
         a, b, c = (rng.standard_normal(4) for _ in range(3))
-        term_ds, term_comm, term_dzsz = t_tensor_terms(geom, a, b, c)
+        s = s_closed_tensor(geom)
+        s_a, s_b = on_vectors(s, a), on_vectors(s, b)
+        term_ds = on_vectors(term_ds_fd(geom, s_source="closed"), a, b, c)
+        term_comm = s_a @ (s_b @ c) - s_b @ (s_a @ c)
+        term_dzsz = (geom.dz.mat + on_vectors(s, geom.z_rot)) @ c
         w_ab = a @ geom.omega_h.mat @ b
         assembled = term_ds + term_comm - w_ab / geom.f_h * term_dzsz
-        assert_allclose(t_tensor(geom, a, b, c), assembled, atol=1e-10)
+        t13 = t_tensor_defining(geom, s_source="closed")
+        assert_allclose(on_vectors(t13, a, b, c), assembled, atol=1e-10)
 
     def test_lowered_defining_tensor_matches_closed_route(self, rng):
         for m, c in ((0, 0.5), (1, 1.0)):
@@ -237,6 +249,8 @@ class TestCurvatureRoutes:
             ik = geom.i_mu[k]
             first = first + form_obar(ik.T @ g_h, ik.T @ g_h).arr
             second = second + form_owedge(ik.T @ oh, ik.T @ oh).arr
+        assert np.array_equal(form_block(geom, geom.g_h), first)
+        assert np.array_equal(form_block(geom, geom.omega_h), second)
         for arr in (first, second):
             scale = max(1.0, np.abs(arr).max())
             assert check_pair_antisymmetry(arr) < 1e-10 * scale
@@ -253,24 +267,6 @@ class TestCurvatureRoutes:
             direct = rtilde_direct(geom).arr
             assert np.abs(direct - closed).max() / max(1.0, np.abs(closed).max()) < 1e-4
 
-    def test_explicit_zero_curvature_input_is_identity(self, rng):
-        params = ModelParams(1, 0.5)
-        geom = geometry_at(params, random_valid_point(params, rng))
-        zero = np.zeros((geom.d,) * 4)
-        assert_allclose(rtilde_closed(geom, zero).arr, rtilde_closed(geom).arr)
-        assert_allclose(rtilde_direct(geom, r_curv=zero).arr, rtilde_direct(geom).arr)
-        with pytest.raises(ValueError):
-            rtilde_closed(geom, np.zeros((2, 2, 2, 2)))
-
-    def test_curvature_tensors_container(self, rng):
-        params = ModelParams(0, 0.5)
-        geom = geometry_at(params, random_valid_point(params, rng))
-        bundle = curvature_tensors(geom)
-        assert_allclose(bundle.r_flat.arr, 0.0)
-        assert_allclose(bundle.rtilde_direct.arr, bundle.t_lowered.arr)
-        gap = np.abs(bundle.rtilde_direct.arr - bundle.rtilde_closed.arr).max()
-        assert gap / max(1.0, np.abs(bundle.rtilde_closed.arr).max()) < 1e-4
-
     def test_metric_compatibility_of_corrected_connection(self, rng):
         from hkqk.flat_model import deformed_metric
         from hkqk.pseudo_linear import finite_diff_gradient
@@ -278,7 +274,7 @@ class TestCurvatureRoutes:
         params = ModelParams(1, 1.0)
         point = random_valid_point(params, rng)
         geom = geometry_at(params, point)
-        s = s_closed_tensor(geom).arr
+        s = s_closed_tensor(geom)
         gh = geom.g_h.mat
 
         def metric_field(cs):

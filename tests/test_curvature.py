@@ -108,8 +108,8 @@ class TestComparisonTraces:
     def test_residuals_for_all_exponents(self, rng, m, c):
         geom = geometry(m, c, rng)
         res = k_trace_residuals(geom, max_exponent=6)
-        assert res["closed_vs_matrix_rel"] < 1e-9
-        assert res["vanishing_traces_abs"] < 1e-9
+        assert res["k_trace_closed_vs_matrix_rel"] < 1e-9
+        assert res["k_trace_vanishing_abs"] < 1e-9
 
     def test_rejects_negative_exponent(self, rng):
         with pytest.raises(ValueError):
