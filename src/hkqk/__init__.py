@@ -15,28 +15,20 @@ from .errors import (
     DegenerateMetric,
     DomainViolation,
     HkqkError,
-    NotSkewAdjoint,
     PairAntisymmetryViolated,
 )
 from .flat_model import ModelParams, Point, GeometryAt, geometry_at, random_valid_point
-from .pseudo_linear import BilinearForm, Endomorphism, Frame, Lambda2Operator, QuadCov
 
 __all__ = [
     "AdjointnessViolated",
-    "BilinearForm",
     "ConfigError",
     "DegenerateMetric",
     "DomainViolation",
-    "Endomorphism",
-    "Frame",
     "GeometryAt",
     "HkqkError",
-    "Lambda2Operator",
     "ModelParams",
-    "NotSkewAdjoint",
     "PairAntisymmetryViolated",
     "Point",
-    "QuadCov",
     "geometry_at",
     "random_valid_point",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .flat_model import GeometryAt, Point, deformed_metric, geometry_at
 from .kulkarni import form_obar, form_owedge
-from .pseudo_linear import DEFAULT_FD_STEP, BilinearForm, QuadCov, finite_diff_gradient
+from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient
 
 
 def s_closed_tensor(geom: GeometryAt) -> np.ndarray:
@@ -26,7 +26,7 @@ def s_closed_tensor(geom: GeometryAt) -> np.ndarray:
                          - (alpha_mu(A) I_mu I_1 B + alpha_mu(B) I_mu I_1 A) / f_z ]
     """
     d = geom.d
-    g, i_h, z = geom.g.mat, geom.i_h.mat, geom.z_rot
+    g, i_h, z = geom.g, geom.i_h, geom.z_rot
     i1 = geom.i_mu[1]
     s = np.zeros((d, d, d))
     for mu in range(4):
@@ -58,11 +58,11 @@ def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray
     params = geom.params
 
     def metric_field(c):
-        return deformed_metric(params, Point(c)).mat
+        return deformed_metric(params, Point(c))
 
     d_gh = finite_diff_gradient(metric_field, geom.point.coords, step=step, order=4)
     rhs = d_gh + np.einsum("bca->abc", d_gh) - np.einsum("cab->abc", d_gh)
-    return _solve_koszul(geom.g_h.mat, rhs)
+    return _solve_koszul(geom.g_h, rhs)
 
 
 def s_q_tensor(geom: GeometryAt) -> np.ndarray:
@@ -70,11 +70,11 @@ def s_q_tensor(geom: GeometryAt) -> np.ndarray:
 
     2 g_h(S^q_A B, C) = [g_h(Z,C) w_h(A,B) - g_h(Z,A) w_h(B,C) - g_h(Z,B) w_h(A,C)] / f_h
     """
-    gz = geom.g_h.mat @ geom.z_rot
-    oh = geom.omega_h.mat
+    gz = geom.g_h @ geom.z_rot
+    oh = geom.omega_h
     rhs = (np.einsum("c,ab->abc", gz, oh) - np.einsum("a,bc->abc", gz, oh)
            - np.einsum("b,ac->abc", gz, oh)) / geom.f_h
-    return _solve_koszul(geom.g_h.mat, rhs)
+    return _solve_koszul(geom.g_h, rhs)
 
 
 def s_parts_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -90,7 +90,7 @@ def term_ds_closed(geom: GeometryAt) -> np.ndarray:
     """
     d = geom.d
     f_z, f_h = geom.f_z, geom.f_h
-    g, i_h, oh, dz, z = geom.g.mat, geom.i_h.mat, geom.omega_h.mat, geom.dz.mat, geom.z_rot
+    g, i_h, oh, dz, z = geom.g, geom.i_h, geom.omega_h, geom.dz, geom.z_rot
     i1 = geom.i_mu[1]
     ohz = oh.T @ z              # omega_h(Z, a)
     a1 = geom.alpha[1]
@@ -123,7 +123,7 @@ def term_comm_closed(geom: GeometryAt) -> np.ndarray:
     """Closed expression for the commutator [S_A, S_B] C, as arr[i, a, b, c]."""
     d = geom.d
     f_z, f_h = geom.f_z, geom.f_h
-    g, i_h, oh, z = geom.g.mat, geom.i_h.mat, geom.omega_h.mat, geom.z_rot
+    g, i_h, oh, z = geom.g, geom.i_h, geom.omega_h, geom.z_rot
     i1 = geom.i_mu[1]
 
     u = [(im @ i_h).T @ (g @ z) for im in geom.i_mu]      # g(I_mu I_h a, Z)
@@ -156,7 +156,7 @@ def dz_plus_sz_closed(geom: GeometryAt) -> np.ndarray:
 
     1/2 (I_h - (f_h/f_z) I_1) + 1/2 sum_mu I_mu Z (x) [g(I_mu I_h Z, .)/f_h + g(I_mu I_1 Z, .)/f_z]
     """
-    g, i_h, z = geom.g.mat, geom.i_h.mat, geom.z_rot
+    g, i_h, z = geom.g, geom.i_h, geom.z_rot
     i1 = geom.i_mu[1]
     out = 0.5 * (i_h - (geom.f_h / geom.f_z) * i1)
     for mu in range(4):
@@ -194,32 +194,31 @@ def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
     as arr[i, a, b, c], with the derivative of S taken by finite differences.
     """
     s = _s_tensor(geom, s_source, step)
-    ds = term_ds_fd(geom, step=step, s_source=s_source)
+    return t_from_parts(geom, s, term_ds_fd(geom, step=step, s_source=s_source))
+
+
+def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Assemble T from the correction S and its antisymmetrized derivative ds."""
     comm = (np.einsum("iaj,jbc->iabc", s, s) - np.einsum("ibj,jac->iabc", s, s))
-    dzsz = geom.dz.mat + np.einsum("iac,a->ic", s, geom.z_rot)
-    return ds + comm - np.einsum("ab,ic->iabc", geom.omega_h.mat, dzsz) / geom.f_h
+    dzsz = geom.dz + np.einsum("iac,a->ic", s, geom.z_rot)
+    return ds + comm - np.einsum("ab,ic->iabc", geom.omega_h, dzsz) / geom.f_h
 
 
-def form_block(geom: GeometryAt, form: BilinearForm) -> np.ndarray:
-    """Curvature-type block of one form F of the closed curvature route:
+def form_block(geom: GeometryAt, form: np.ndarray, own, turned) -> np.ndarray:
+    """Curvature-type block own(F, F) + sum_k turned(F_k, F_k), F_k = F(I_k ., .).
 
-    F . F + sum_k F_k .bar. F_k for the metric g_h,
-    F .bar. F + sum_k F_k . F_k for the twist form w_h,
-
-    with F_k = F(I_k ., .), the symmetric-form product . for symmetric forms
-    and the two-form product .bar. for antisymmetric ones.
+    The closed curvature route takes (own, turned) = (., .bar.) for the metric
+    g_h and (.bar., .) for the twist form w_h, where . is the symmetric-form
+    product and .bar. the two-form product.
     """
-    own, turned = ((form_owedge, form_obar) if form.symmetry == "symmetric"
-                   else (form_obar, form_owedge))
-    mat = form.mat
-    block = own(mat, mat).arr
+    block = own(form, form)
     for k in (1, 2, 3):
-        mat_k = geom.i_mu[k].T @ mat
-        block += turned(mat_k, mat_k).arr
+        form_k = geom.i_mu[k].T @ form
+        block += turned(form_k, form_k)
     return block
 
 
-def rtilde_closed(geom: GeometryAt) -> QuadCov:
+def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     """Closed route for the lowered curvature of the twisted deformation:
 
     1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]
@@ -229,12 +228,12 @@ def rtilde_closed(geom: GeometryAt) -> QuadCov:
     general formula has a further term g(R(A,B)C, X)/f_z, which vanishes
     because the undeformed metric is flat.
     """
-    return QuadCov(form_block(geom, geom.g_h) / 8.0
-                   - form_block(geom, geom.omega_h) / (8.0 * geom.f_z * geom.f_h))
+    return (form_block(geom, geom.g_h, form_owedge, form_obar) / 8.0
+            - form_block(geom, geom.omega_h, form_obar, form_owedge) / (8.0 * geom.f_z * geom.f_h))
 
 
 def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
-                  s_source: str = "parts") -> QuadCov:
+                  s_source: str = "parts") -> np.ndarray:
     """Defining route: lower T with the deformed metric (R + T with R = 0).
 
     With the default source the correction itself comes from the Koszul
@@ -242,4 +241,4 @@ def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
     checked against.
     """
     t13 = t_tensor_defining(geom, step=step, s_source=s_source)
-    return QuadCov(np.einsum("iabc,ix->abcx", t13, geom.g_h.mat))
+    return np.einsum("iabc,ix->abcx", t13, geom.g_h)

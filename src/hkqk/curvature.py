@@ -18,28 +18,22 @@ import numpy as np
 from .correspondence import form_block, rtilde_closed
 from .errors import DomainViolation
 from .flat_model import GeometryAt
-from .pseudo_linear import (
-    BilinearForm,
-    Frame,
-    Lambda2Operator,
-    QuadCov,
-    pseudo_gram_schmidt,
-    quadcov_to_lambda2_op,
-)
+from .kulkarni import form_obar, form_owedge
+from .pseudo_linear import compose_trace, pseudo_gram_schmidt, quadcov_to_lambda2_op
 
 
-def orthonormal_frame(geom: GeometryAt) -> Frame:
-    """Orthonormal frame of the deformed metric (all signs +1 on the domain)."""
+def orthonormal_frame(geom: GeometryAt) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frame (vectors, signs) of the deformed metric (all signs +1 on the domain)."""
     return pseudo_gram_schmidt(geom.g_h)
 
 
-def quadcov_in_frame(tensor: QuadCov, frame: Frame) -> np.ndarray:
+def quadcov_in_frame(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Components of a rank-4 tensor on the frame vectors."""
-    v = frame.vectors
-    return np.einsum("abcx,pa,qb,rc,sx->pqrs", tensor.arr, v, v, v, v, optimize=True)
+    v = vectors
+    return np.einsum("abcx,pa,qb,rc,sx->pqrs", tensor, v, v, v, v, optimize=True)
 
 
-def curvature_operator(geom: GeometryAt, rtilde: QuadCov) -> Lambda2Operator:
+def curvature_operator(geom: GeometryAt, rtilde: np.ndarray) -> np.ndarray:
     """The curvature tensor as an operator on the exterior square.
 
     Computed in an orthonormal frame of the deformed metric, so the matrix of
@@ -47,18 +41,17 @@ def curvature_operator(geom: GeometryAt, rtilde: QuadCov) -> Lambda2Operator:
     map, so the transformed tensor is projected back onto its antisymmetric
     part, discarding pure roundoff from the contraction.
     """
-    frame = orthonormal_frame(geom)
-    in_frame = quadcov_in_frame(rtilde, frame)
+    vectors, signs = orthonormal_frame(geom)
+    in_frame = quadcov_in_frame(rtilde, vectors)
     in_frame = 0.5 * (in_frame - in_frame.transpose(1, 0, 2, 3))
     in_frame = 0.5 * (in_frame - in_frame.transpose(0, 1, 3, 2))
-    frame_metric = BilinearForm.symmetric(np.diag(frame.signs))
-    return quadcov_to_lambda2_op(QuadCov(in_frame), frame_metric)
+    return quadcov_to_lambda2_op(in_frame, np.diag(signs))
 
 
-def curvature_norm_frame(geom: GeometryAt, rtilde: QuadCov) -> float:
+def curvature_norm_frame(geom: GeometryAt, rtilde: np.ndarray) -> float:
     """Squared operator norm: the trace of the squared curvature operator."""
     op = curvature_operator(geom, rtilde)
-    return op.compose_trace(op)
+    return compose_trace(op, op)
 
 
 def curvature_norm_closed(q: int, f_z: float, f_h: float) -> float:
@@ -94,8 +87,8 @@ def k_trace_residuals(geom: GeometryAt, *, max_exponent: int = 6) -> dict[str, f
     Returns the worst relative defect of tr(K^p) over p = 0..max_exponent and
     the largest magnitude among tr(K^p I_k), tr(K^p I_h), tr(K^p I_h I_k).
     """
-    k = geom.k_compare.mat
-    i_h = geom.i_h.mat
+    k = geom.k_compare
+    i_h = geom.i_h
     iks = [geom.i_mu[j] for j in (1, 2, 3)]
     power = np.eye(geom.d)
     worst_rel = 0.0
@@ -114,15 +107,16 @@ def k_trace_residuals(geom: GeometryAt, *, max_exponent: int = 6) -> dict[str, f
     return {"k_trace_closed_vs_matrix_rel": worst_rel, "k_trace_vanishing_abs": worst_vanish}
 
 
-def model_space_part(geom: GeometryAt) -> QuadCov:
+def model_space_part(geom: GeometryAt) -> np.ndarray:
     """The constant-curvature model tensor of the split:
 
     -1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]
     """
-    return QuadCov(-form_block(geom, geom.g_h) / 8.0)
+    return -form_block(geom, geom.g_h, form_owedge, form_obar) / 8.0
 
 
-def alekseevsky_split(geom: GeometryAt, rtilde: QuadCov) -> tuple[QuadCov, QuadCov, float]:
+def alekseevsky_split(geom: GeometryAt,
+                      rtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Split the curvature as nu * (model part) + remainder, with nu = -1.
 
     The remainder, raised to an endomorphism in its first two slots, commutes
@@ -130,11 +124,11 @@ def alekseevsky_split(geom: GeometryAt, rtilde: QuadCov) -> tuple[QuadCov, QuadC
     """
     nu = -1.0
     r0 = model_space_part(geom)
-    r1 = QuadCov(rtilde.arr - nu * r0.arr)
+    r1 = rtilde - nu * r0
     return r0, r1, nu
 
 
-def hk_type_residual(geom: GeometryAt, r1: QuadCov, rng: np.random.Generator,
+def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator,
                      *, trials: int = 50) -> float:
     """Largest commutator entry of the raised remainder with the complex structures.
 
@@ -149,7 +143,7 @@ def hk_type_residual(geom: GeometryAt, r1: QuadCov, rng: np.random.Generator,
         b = rng.standard_normal(geom.d)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        lowered = np.einsum("abcx,a,b->cx", r1.arr, a, b)
+        lowered = np.einsum("abcx,a,b->cx", r1, a, b)
         endo = gh_inv @ lowered.T
         for j in (1, 2, 3):
             ik = geom.i_mu[j]
@@ -163,7 +157,7 @@ def invariance_residual(geom: GeometryAt) -> float:
     The combination w_h .bar. w_h + sum_k w_h(I_k.,.) . w_h(I_k.,.) must return
     the same values at (A, B, I_j C, I_j X) as at (A, B, C, X).
     """
-    block = form_block(geom, geom.omega_h)
+    block = form_block(geom, geom.omega_h, form_obar, form_owedge)
     worst = 0.0
     for j in (1, 2, 3):
         ij = geom.i_mu[j]
@@ -172,12 +166,12 @@ def invariance_residual(geom: GeometryAt) -> float:
     return worst
 
 
-def scalar_curvature(geom: GeometryAt, rtilde: QuadCov) -> float:
+def scalar_curvature(geom: GeometryAt, rtilde: np.ndarray) -> float:
     """Scalar curvature by sign-weighted frame contraction of the lowered tensor."""
-    frame = orthonormal_frame(geom)
-    in_frame = quadcov_in_frame(rtilde, frame)
-    ricci = np.einsum("a,abca->bc", frame.signs, in_frame)
-    return float(np.einsum("b,bb->", frame.signs, ricci))
+    vectors, signs = orthonormal_frame(geom)
+    in_frame = quadcov_in_frame(rtilde, vectors)
+    ricci = np.einsum("a,abca->bc", signs, in_frame)
+    return float(np.einsum("b,bb->", signs, ricci))
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ class NormReport:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
-def norm_report(geom: GeometryAt, rtilde: QuadCov | None = None,
+def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
                 *, hk_trials: int = 50, hk_seed: int = 0) -> NormReport:
     """Evaluate both norm routes, the scalar curvature, and the split checks."""
     rt = rtilde if rtilde is not None else rtilde_closed(geom)

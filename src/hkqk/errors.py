@@ -17,12 +17,8 @@ class PairAntisymmetryViolated(HkqkError):
     """A rank-4 tensor fails antisymmetry in its (1,2) or (3,4) index pair."""
 
 
-class NotSkewAdjoint(HkqkError):
-    """An endomorphism required to be metric-skew fails the check."""
-
-
 class AdjointnessViolated(HkqkError):
-    """A (self-)adjointness hypothesis of a trace identity fails."""
+    """An endomorphism required to be metric-self-adjoint or metric-skew fails the check."""
 
 
 class ConfigError(HkqkError):

@@ -19,22 +19,23 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainViolation
-from .pseudo_linear import (
-    DEFAULT_FD_STEP,
-    BilinearForm,
-    Endomorphism,
-    finite_diff_gradient,
-)
+from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient
 
 DOMAIN_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Family index m and deformation constant c (real dimension 4(m+1))."""
+    """Family index m and deformation constant c (real dimension 4(m+1)).
+
+    ``corrupt_omega2`` flips the sign of the second Kaehler form in every
+    tensor built from these parameters: a negative control for the
+    verification suite, which must then fail.
+    """
 
     m: int
     c: float = 0.0
+    corrupt_omega2: bool = False
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 0:
@@ -98,17 +99,20 @@ class Point:
 
 @dataclass(frozen=True)
 class ConstantTensors:
-    """The point-independent tensors of the model for one family index."""
+    """The point-independent tensors of the model for one family index.
 
-    g: BilinearForm
-    omega1: BilinearForm
-    omega2: BilinearForm
-    omega3: BilinearForm
-    omega_h: BilinearForm
-    i1: Endomorphism
-    i2: Endomorphism
-    i3: Endomorphism
-    dz: Endomorphism
+    Bilinear forms and endomorphisms alike are d x d matrices in the fixed frame.
+    """
+
+    g: np.ndarray
+    omega1: np.ndarray
+    omega2: np.ndarray
+    omega3: np.ndarray
+    omega_h: np.ndarray
+    i1: np.ndarray
+    i2: np.ndarray
+    i3: np.ndarray
+    dz: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -158,27 +162,27 @@ def _constant_tensors_cached(m: int, corrupt_omega2: bool) -> ConstantTensors:
         assert np.abs(ih @ ih + eye).max() < 1e-14
 
     return ConstantTensors(
-        g=BilinearForm.symmetric(g),
-        omega1=BilinearForm.antisymmetric(o1),
-        omega2=BilinearForm.antisymmetric(o2),
-        omega3=BilinearForm.antisymmetric(o3),
-        omega_h=BilinearForm.antisymmetric(oh),
-        i1=Endomorphism(i1),
-        i2=Endomorphism(i2),
-        i3=Endomorphism(i3),
-        dz=Endomorphism(dz),
+        g=g,
+        omega1=o1,
+        omega2=o2,
+        omega3=o3,
+        omega_h=oh,
+        i1=i1,
+        i2=i2,
+        i3=i3,
+        dz=dz,
     )
 
 
-def constant_tensors(params: ModelParams, *, corrupt_omega2: bool = False) -> ConstantTensors:
+def constant_tensors(params: ModelParams) -> ConstantTensors:
     """Flat metric, the three Kaehler forms, the twist form, and derived structures.
 
     The complex structures are recovered by raising the forms with the metric,
     not transcribed as sign patterns; the quaternion relations are asserted on
-    construction. ``corrupt_omega2`` flips the sign of the second form and
-    skips the assertion (negative-control hook for the verification suite).
+    construction. With ``params.corrupt_omega2`` the second form changes sign
+    and the assertion is skipped.
     """
-    return _constant_tensors_cached(params.m, corrupt_omega2)
+    return _constant_tensors_cached(params.m, params.corrupt_omega2)
 
 
 def vector_z(params: ModelParams, point: Point) -> np.ndarray:
@@ -216,9 +220,11 @@ def scalars(params: ModelParams, point: Point) -> Scalars:
     z2 = _z_norms(params, point)
     base = z2[0] - z2[1:].sum()
     f_z = 0.5 * base - 0.5 * params.c
+    f_h = -0.5 * base - 0.5 * params.c
+    if not (np.isfinite(f_z) and np.isfinite(f_h)):
+        raise DomainViolation(f"f_z = {f_z:.3e} and f_h = {f_h:.3e} must be finite")
     if f_z <= DOMAIN_EPS:
         raise DomainViolation(f"f_z = {f_z:.3e} is not positive (threshold {DOMAIN_EPS:.0e})")
-    f_h = -0.5 * base - 0.5 * params.c
     return Scalars(f_z=f_z, f_h=f_h, g_zz=-base)
 
 
@@ -226,8 +232,10 @@ def scalars(params: ModelParams, point: Point) -> Scalars:
 class GeometryAt:
     """Immutable snapshot of every tensor of the model at one point.
 
-    Fields follow the fixed coordinate frame. ``alpha[mu]`` are the four
-    lowered contractions of the rotating field with (g, omega1..3);
+    Matrix fields are d x d arrays in the fixed coordinate frame, bilinear
+    forms (g, the omegas, g_h, g_alpha) and endomorphisms (the I's, dz,
+    k_compare) alike. ``alpha[mu]`` are the four lowered contractions of the
+    rotating field with (g, omega1..3);
     ``k_compare`` is the endomorphism carrying g_h back to g, multiplication
     by f_z off the quaternionic span of the rotating field and by f_z^2/f_h
     along it.
@@ -235,24 +243,24 @@ class GeometryAt:
 
     params: ModelParams
     point: Point
-    g: BilinearForm
-    omega1: BilinearForm
-    omega2: BilinearForm
-    omega3: BilinearForm
-    omega_h: BilinearForm
-    i1: Endomorphism
-    i2: Endomorphism
-    i3: Endomorphism
-    i_h: Endomorphism
-    dz: Endomorphism
-    k_compare: Endomorphism
+    g: np.ndarray
+    omega1: np.ndarray
+    omega2: np.ndarray
+    omega3: np.ndarray
+    omega_h: np.ndarray
+    i1: np.ndarray
+    i2: np.ndarray
+    i3: np.ndarray
+    i_h: np.ndarray
+    dz: np.ndarray
+    k_compare: np.ndarray
     z_rot: np.ndarray
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     f_z: float
     f_h: float
     g_zz: float
-    g_h: BilinearForm
-    g_alpha: BilinearForm
+    g_h: np.ndarray
+    g_alpha: np.ndarray
 
     @property
     def d(self) -> int:
@@ -265,45 +273,43 @@ class GeometryAt:
     @cached_property
     def i_mu(self) -> tuple[np.ndarray, ...]:
         """Matrices (id, I_1, I_2, I_3), indexed by mu = 0..3."""
-        return (np.eye(self.d), self.i1.mat, self.i2.mat, self.i3.mat)
+        return (np.eye(self.d), self.i1, self.i2, self.i3)
 
     @cached_property
     def omega_mu(self) -> tuple[np.ndarray, ...]:
         """Matrices (g, omega_1, omega_2, omega_3), indexed by mu = 0..3."""
-        return (self.g.mat, self.omega1.mat, self.omega2.mat, self.omega3.mat)
+        return (self.g, self.omega1, self.omega2, self.omega3)
 
     @cached_property
     def gh_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g_h.mat)
+        return np.linalg.inv(self.g_h)
 
 
 def _metric_data(consts: ConstantTensors, f_z: float, z: np.ndarray):
     """alpha_mu = omega_mu(Z, .) = g(I_mu Z, .), g_alpha = sum_mu alpha_mu^2, g_h = g/f_z + g_alpha/f_z^2."""
-    g = consts.g.mat
-    alpha = (g @ z, consts.omega1.mat.T @ z, consts.omega2.mat.T @ z, consts.omega3.mat.T @ z)
+    g = consts.g
+    alpha = (g @ z, consts.omega1.T @ z, consts.omega2.T @ z, consts.omega3.T @ z)
     g_alpha = sum(np.outer(a, a) for a in alpha)
     return alpha, g_alpha, g / f_z + g_alpha / f_z ** 2
 
 
-def deformed_metric(params: ModelParams, point: Point,
-                    *, corrupt_omega2: bool = False) -> BilinearForm:
+def deformed_metric(params: ModelParams, point: Point) -> np.ndarray:
     """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain."""
-    consts = constant_tensors(params, corrupt_omega2=corrupt_omega2)
+    consts = constant_tensors(params)
     _, _, g_h = _metric_data(consts, scalars(params, point).f_z, vector_z(params, point))
-    return BilinearForm.symmetric(g_h)
+    return g_h
 
 
-def geometry_at(params: ModelParams, point: Point,
-                *, corrupt_omega2: bool = False) -> GeometryAt:
+def geometry_at(params: ModelParams, point: Point) -> GeometryAt:
     """Evaluate the full geometric snapshot at one point of the domain."""
-    consts = constant_tensors(params, corrupt_omega2=corrupt_omega2)
+    consts = constant_tensors(params)
     sc = scalars(params, point)
     d = params.d
     z = vector_z(params, point)
 
-    i_mats = (np.eye(d), consts.i1.mat, consts.i2.mat, consts.i3.mat)
+    i_mats = (np.eye(d), consts.i1, consts.i2, consts.i3)
     alpha, g_alpha, g_h = _metric_data(consts, sc.f_z, z)
-    i_h = consts.i1.mat + 2.0 * consts.dz.mat
+    i_h = consts.i1 + 2.0 * consts.dz
     k = sc.f_z * np.eye(d) - (sc.f_z / sc.f_h) * sum(
         np.outer(i @ z, a) for i, a in zip(i_mats, alpha))
 
@@ -318,16 +324,16 @@ def geometry_at(params: ModelParams, point: Point,
         i1=consts.i1,
         i2=consts.i2,
         i3=consts.i3,
-        i_h=Endomorphism(i_h),
+        i_h=i_h,
         dz=consts.dz,
-        k_compare=Endomorphism(k),
+        k_compare=k,
         z_rot=z,
         alpha=alpha,
         f_z=sc.f_z,
         f_h=sc.f_h,
         g_zz=sc.g_zz,
-        g_h=BilinearForm.symmetric(g_h),
-        g_alpha=BilinearForm.symmetric(g_alpha),
+        g_h=g_h,
+        g_alpha=g_alpha,
     )
 
 
@@ -370,7 +376,7 @@ def verify_differential_identities(params: ModelParams, point: Point,
     """
     geom = geometry_at(params, point)
     coords = point.coords
-    g, dz = geom.g.mat, geom.dz.mat
+    g, dz = geom.g, geom.dz
     omega = geom.omega_mu
     i_mats = geom.i_mu
 
@@ -399,11 +405,11 @@ def verify_differential_identities(params: ModelParams, point: Point,
     grad_fz = finite_diff_gradient(f_z_field, coords, step=step)
     grad_fh = finite_diff_gradient(f_h_field, coords, step=step)
     res["moment_map_f_z"] = float(np.abs(geom.alpha[1] + grad_fz).max())
-    alpha_h = geom.g.mat @ (geom.i_h.mat @ geom.z_rot)
+    alpha_h = geom.g @ (geom.i_h @ geom.z_rot)
     res["moment_map_f_h"] = float(np.abs(alpha_h + grad_fh).max())
 
     d_alpha0 = d_alpha[0]
-    res["twist_form_from_omega1"] = float(np.abs(geom.omega_h.mat - omega[1] - d_alpha0).max())
+    res["twist_form_from_omega1"] = float(np.abs(geom.omega_h - omega[1] - d_alpha0).max())
 
     res["sum_identity"] = sum_identity_residual(geom)
     return res
@@ -415,7 +421,7 @@ def sum_identity_residual(geom: GeometryAt) -> float:
     sum_mu (omega_mu(D_A Z, B) - omega_mu(D_B Z, A)) I_mu I_1 C
       = -1/2 sum_mu (omega_mu(A,B) - omega_mu(B,A)) I_mu C + omega_h(A,B) I_1 C
     """
-    dz = geom.dz.mat
+    dz = geom.dz
     i1 = geom.i_mu[1]
     lhs = np.zeros((geom.d,) * 4)
     rhs = np.zeros((geom.d,) * 4)
@@ -423,7 +429,7 @@ def sum_identity_residual(geom: GeometryAt) -> float:
         m = dz.T @ geom.omega_mu[mu]
         lhs += np.einsum("ab,ic->iabc", m - m.T, geom.i_mu[mu] @ i1)
         rhs -= 0.5 * np.einsum("ab,ic->iabc", geom.omega_mu[mu] - geom.omega_mu[mu].T, geom.i_mu[mu])
-    rhs += np.einsum("ab,ic->iabc", geom.omega_h.mat, i1)
+    rhs += np.einsum("ab,ic->iabc", geom.omega_h, i1)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -439,8 +445,8 @@ def structural_residuals(geom: GeometryAt) -> dict[str, float]:
     d = geom.d
     eye = np.eye(d)
     i1, i2, i3 = geom.i_mu[1], geom.i_mu[2], geom.i_mu[3]
-    i_h, k = geom.i_h.mat, geom.k_compare.mat
-    g, g_h = geom.g.mat, geom.g_h.mat
+    i_h, k = geom.i_h, geom.k_compare
+    g, g_h = geom.g, geom.g_h
 
     res: dict[str, float] = {}
     res["quaternion_relations"] = float(max(
@@ -452,7 +458,7 @@ def structural_residuals(geom: GeometryAt) -> dict[str, float]:
     res["omega_mu_is_lowered_i_mu"] = float(max(
         np.abs(im.T @ g - om).max() for im, om in zip(geom.i_mu, geom.omega_mu)))
     res["i_h_squared_plus_id"] = float(np.abs(i_h @ i_h + eye).max())
-    res["twist_form_is_lowered_i_h"] = float(np.abs(i_h.T @ g - geom.omega_h.mat).max())
+    res["twist_form_is_lowered_i_h"] = float(np.abs(i_h.T @ g - geom.omega_h).max())
     res["pairwise_commutation"] = float(max(
         np.abs(a @ b - b @ a).max()
         for a in (k, i_h)
@@ -473,7 +479,7 @@ def omega_identities_residual(geom: GeometryAt) -> float:
     Each line states two equalities; all six residuals are folded into one
     max-norm value. Purely algebraic in the constant Jacobian.
     """
-    dz = geom.dz.mat
+    dz = geom.dz
     o1, o2, o3 = geom.omega_mu[1], geom.omega_mu[2], geom.omega_mu[3]
     n = [geom.i_mu[k].T @ o1 for k in range(4)]  # omega_1(I_k A, B)
 

@@ -11,96 +11,83 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AdjointnessViolated, NotSkewAdjoint, PairAntisymmetryViolated
-from .pseudo_linear import (
-    BilinearForm,
-    Endomorphism,
-    Lambda2Operator,
-    QuadCov,
-    check_pair_antisymmetry,
-    quadcov_to_lambda2_op,
-)
+from .errors import AdjointnessViolated, PairAntisymmetryViolated
+from .pseudo_linear import check_pair_antisymmetry, quadcov_to_lambda2_op
 
 ADJOINT_TOL = 1e-10
 
 
-def kn_owedge(phi: QuadCov) -> QuadCov:
+def kn_owedge(p: np.ndarray) -> np.ndarray:
     """First product: out(A,B,C,X) = P(A,C,B,X) - P(A,X,B,C) + P(B,X,A,C) - P(B,C,A,X)."""
-    p = phi.arr
-    return QuadCov(np.einsum("acbx->abcx", p) - np.einsum("axbc->abcx", p)
-                   + np.einsum("bxac->abcx", p) - np.einsum("bcax->abcx", p))
+    return (np.einsum("acbx->abcx", p) - np.einsum("axbc->abcx", p)
+            + np.einsum("bxac->abcx", p) - np.einsum("bcax->abcx", p))
 
 
-def kn_obar(phi: QuadCov, *, tol: float = 1e-10) -> QuadCov:
+def kn_obar(p: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
     """Second product: out = first product + 2 P(A,B,C,X) + 2 P(C,X,A,B).
 
     Requires the input to be antisymmetric in both index pairs, within ``tol``
     relative to the tensor's magnitude (floored at 1); on the outer product of
     two two-forms the result is an algebraic curvature tensor.
     """
-    scale = max(1.0, float(np.abs(phi.arr).max()))
-    defect = check_pair_antisymmetry(phi.arr)
+    scale = max(1.0, float(np.abs(p).max()))
+    defect = check_pair_antisymmetry(p)
     if defect > tol * scale:
         raise PairAntisymmetryViolated(
             f"pair antisymmetry defect {defect:.2e} > {tol:.2e} * scale {scale:.2e}")
-    p = phi.arr
-    return QuadCov(kn_owedge(phi).arr + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p))
+    return kn_owedge(p) + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p)
 
 
-def _form_mat(form) -> np.ndarray:
-    return form.mat if isinstance(form, BilinearForm) else np.asarray(form, dtype=float)
-
-
-def form_owedge(alpha, beta) -> QuadCov:
+def form_owedge(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """First product of two (0,2)-tensors, via their outer product."""
-    return kn_owedge(QuadCov(np.einsum("ab,cx->abcx", _form_mat(alpha), _form_mat(beta))))
+    return kn_owedge(np.einsum("ab,cx->abcx", alpha, beta))
 
 
-def form_obar(alpha, beta, *, tol: float = 1e-10) -> QuadCov:
+def form_obar(alpha: np.ndarray, beta: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
     """Second product of two two-forms, via their outer product."""
-    return kn_obar(QuadCov(np.einsum("ab,cx->abcx", _form_mat(alpha), _form_mat(beta))), tol=tol)
+    return kn_obar(np.einsum("ab,cx->abcx", alpha, beta), tol=tol)
 
 
-def self_adjoint_defect(endo: Endomorphism, metric: BilinearForm) -> float:
+def self_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
     """Max-norm of B(Ex, y) - B(x, Ey); zero for metric-self-adjoint E."""
-    low = metric.mat @ endo.mat
+    low = metric @ endo
     return float(np.abs(low - low.T).max())
 
 
-def skew_adjoint_defect(endo: Endomorphism, metric: BilinearForm) -> float:
+def skew_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
     """Max-norm of B(Ex, y) + B(x, Ey); zero for metric-skew E."""
-    low = metric.mat @ endo.mat
+    low = metric @ endo
     return float(np.abs(low + low.T).max())
 
 
-def endo_owedge(e: Endomorphism, f: Endomorphism, metric: BilinearForm) -> Lambda2Operator:
+def endo_owedge(e: np.ndarray, f: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """Operator form of the first product: lower both endomorphisms, apply it, raise on wedges."""
-    lowered = QuadCov(np.einsum("ab,cx->abcx", e.mat.T @ metric.mat, f.mat.T @ metric.mat))
+    lowered = np.einsum("ab,cx->abcx", e.T @ metric, f.T @ metric)
     return quadcov_to_lambda2_op(kn_owedge(lowered), metric)
 
 
-def endo_obar(k: Endomorphism, l: Endomorphism, metric: BilinearForm,
-              *, tol: float = ADJOINT_TOL) -> Lambda2Operator:
+def endo_obar(k: np.ndarray, l: np.ndarray, metric: np.ndarray,
+              *, tol: float = ADJOINT_TOL) -> np.ndarray:
     """Operator form of the second product for two metric-skew endomorphisms."""
     for name, endo in (("first", k), ("second", l)):
         defect = skew_adjoint_defect(endo, metric)
         if defect > tol:
-            raise NotSkewAdjoint(f"{name} argument fails skew-adjointness by {defect:.2e}")
-    lowered = QuadCov(np.einsum("ab,cx->abcx", k.mat.T @ metric.mat, l.mat.T @ metric.mat))
+            raise AdjointnessViolated(f"{name} argument fails skew-adjointness by {defect:.2e}")
+    lowered = np.einsum("ab,cx->abcx", k.T @ metric, l.T @ metric)
     return quadcov_to_lambda2_op(kn_obar(lowered), metric)
 
 
-def owedge_pair_trace(e: Endomorphism, f: Endomorphism) -> float:
+def owedge_pair_trace(e: np.ndarray, f: np.ndarray) -> float:
     """tr((E . E) o (F . F)) for the first product: 2 tr(EF)^2 - 2 tr((EF)^2).
 
     Holds for arbitrary endomorphisms; no adjointness hypothesis is needed.
     """
-    ef = e.mat @ f.mat
+    ef = e @ f
     t = float(np.trace(ef))
     return 2.0 * t * t - 2.0 * float(np.trace(ef @ ef))
 
 
-def obar_pair_trace(k: Endomorphism, l: Endomorphism, metric: BilinearForm,
+def obar_pair_trace(k: np.ndarray, l: np.ndarray, metric: np.ndarray,
                     *, tol: float = ADJOINT_TOL) -> float:
     """tr((K . K) o (L . L)) for the second product: 6 tr(KL)^2 + 6 tr((KL)^2).
 
@@ -110,12 +97,12 @@ def obar_pair_trace(k: Endomorphism, l: Endomorphism, metric: BilinearForm,
         defect = skew_adjoint_defect(endo, metric)
         if defect > tol:
             raise AdjointnessViolated(f"{name} fails skew-adjointness by {defect:.2e}")
-    kl = k.mat @ l.mat
+    kl = k @ l
     t = float(np.trace(kl))
     return 6.0 * t * t + 6.0 * float(np.trace(kl @ kl))
 
 
-def mixed_pair_trace(e: Endomorphism, k: Endomorphism, metric: BilinearForm,
+def mixed_pair_trace(e: np.ndarray, k: np.ndarray, metric: np.ndarray,
                      *, tol: float = ADJOINT_TOL) -> float:
     """Mixed trace of the two products: 2 tr(EK)^2 - 6 tr((EK)^2).
 
@@ -127,6 +114,6 @@ def mixed_pair_trace(e: Endomorphism, k: Endomorphism, metric: BilinearForm,
     defect = skew_adjoint_defect(k, metric)
     if defect > tol:
         raise AdjointnessViolated(f"K fails skew-adjointness by {defect:.2e}")
-    ek = e.mat @ k.mat
+    ek = e @ k
     t = float(np.trace(ek))
     return 2.0 * t * t - 6.0 * float(np.trace(ek @ ek))

@@ -61,8 +61,8 @@ def test_criterion_2_curvature_path_equivalence():
             params = fm.ModelParams(m, c)
             for point in seeded_points(params, 20, 2):
                 geom = fm.geometry_at(params, point)
-                closed = corr.rtilde_closed(geom).arr
-                direct = corr.rtilde_direct(geom).arr
+                closed = corr.rtilde_closed(geom)
+                direct = corr.rtilde_direct(geom)
                 worst = max(worst, np.abs(direct - closed).max()
                             / max(1.0, np.abs(closed).max()))
     elapsed = time.perf_counter() - start
@@ -184,7 +184,7 @@ def test_criterion_8_structural_suite():
                 geom = fm.geometry_at(params, point)
                 res = dict(fm.structural_residuals(geom))
                 res.update(fm.verify_differential_identities(params, point))
-                arr = corr.rtilde_closed(geom).arr
+                arr = corr.rtilde_closed(geom)
                 scale = max(1.0, np.abs(arr).max())
                 res["rtilde_pair_antisymmetry"] = check_pair_antisymmetry(arr) / scale
                 res["rtilde_pair_symmetry"] = float(

@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, determinism, report contents."""
 
+import csv
 import json
 
 import numpy as np
 from numpy.testing import assert_allclose
 
+from hkqk import flat_model
 from hkqk.cli import CHECKS, format_float, main, to_json
 
 
@@ -64,7 +66,21 @@ class TestVerify:
         payload = json.loads(out.read_text())
         by_name = {r["name"]: r for r in payload["results"]}
         assert not by_name["quaternion_relations"]["passed"]
+        # the corruption reaches the finite-difference identities too: L_Z omega_2 = -omega_3
+        for name in ("rotating_lie_omega2_eq_omega3", "rotating_lie_omega3_eq_minus_omega2"):
+            assert_allclose(by_name[name]["max_residual"], 2.0, rtol=1e-6)
+            assert not by_name[name]["passed"]
         assert payload["summary"]["failed"] >= 1
+
+    def test_nan_residual_fails_its_row(self, tmp_path, monkeypatch):
+        structural = flat_model.structural_residuals
+        monkeypatch.setattr(flat_model, "structural_residuals",
+                            lambda geom: {**structural(geom), "f_h_identity": float("nan")})
+        code, out = run_json(tmp_path, ["verify", "--m", "0", "--samples", "2",
+                                        "--format", "csv"], "out.csv")
+        assert code == 1
+        rows = {row["name"]: row for row in csv.DictReader(out.read_text().splitlines())}
+        assert (rows["f_h_identity"]["max_residual"], rows["f_h_identity"]["passed"]) == ("nan", "false")
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["verify", "--m", "0", "--c", "1", "--seed", "7", "--samples", "2"]
@@ -147,6 +163,10 @@ class TestNorm:
         code = main(["norm", "--m", "0", "--c", "1", "--point", "0.5,0,0,0"])
         assert code == 1
         assert "domain" in capsys.readouterr().err
+        # |z_0|^2 overflows to inf: a domain error, not a traceback or a report of nan
+        with np.errstate(over="ignore"):
+            assert main(["norm", "--m", "0", "--point", "1e200,0,0,0"]) == 1
+        assert "point outside the valid domain" in capsys.readouterr().err
 
     def test_wrong_point_length(self):
         assert main(["norm", "--m", "1", "--point", "1,0,0,0"]) == 2

@@ -43,8 +43,8 @@ def correction_by_explicit_sum(geom, a_vec, b_vec):
     Sums over mu with explicit matrix-vector products; deliberately avoids the
     tensor assembly used by the library.
     """
-    g, z = geom.g.mat, geom.z_rot
-    i_h = geom.i_h.mat
+    g, z = geom.g, geom.z_rot
+    i_h = geom.i_h
     i1 = geom.i_mu[1]
     total = np.zeros(geom.d)
     for mu in range(4):
@@ -80,7 +80,7 @@ class TestClosedCorrection:
             for _ in range(6):
                 a, b = rng.standard_normal(geom.d), rng.standard_normal(geom.d)
                 gap = (np.einsum("iab,a,b->i", s, a, b) - np.einsum("iab,a,b->i", s, b, a)
-                       - (a @ geom.omega_h.mat @ b) / geom.f_h * geom.z_rot)
+                       - (a @ geom.omega_h @ b) / geom.f_h * geom.z_rot)
                 assert np.abs(gap).max() < 1e-10
 
     def test_degenerate_configuration_vanishes(self, rng):
@@ -119,7 +119,7 @@ class TestKoszulRoute:
         params = ModelParams(2, 1.0)
         geom = geometry_at(params, random_valid_point(params, rng))
         sq = s_q_tensor(geom)
-        gh = geom.g_h.mat
+        gh = geom.g_h
         skew = (np.einsum("iab,ic->abc", sq, gh) + np.einsum("iac,ib->abc", sq, gh))
         assert np.abs(skew).max() < 1e-10
 
@@ -136,7 +136,7 @@ class TestTTensorTerms:
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
             s = s_closed_tensor(geom)
-            defining = geom.dz.mat + np.einsum("iac,a->ic", s, geom.z_rot)
+            defining = geom.dz + np.einsum("iac,a->ic", s, geom.z_rot)
             assert np.abs(defining - dz_plus_sz_closed(geom)).max() < 1e-10
 
     def test_commutator_vanishes_on_equal_arguments(self, rng):
@@ -198,8 +198,8 @@ class TestTTensor:
         s_a, s_b = on_vectors(s, a), on_vectors(s, b)
         term_ds = on_vectors(term_ds_fd(geom, s_source="closed"), a, b, c)
         term_comm = s_a @ (s_b @ c) - s_b @ (s_a @ c)
-        term_dzsz = (geom.dz.mat + on_vectors(s, geom.z_rot)) @ c
-        w_ab = a @ geom.omega_h.mat @ b
+        term_dzsz = (geom.dz + on_vectors(s, geom.z_rot)) @ c
+        w_ab = a @ geom.omega_h @ b
         assembled = term_ds + term_comm - w_ab / geom.f_h * term_dzsz
         t13 = t_tensor_defining(geom, s_source="closed")
         assert_allclose(on_vectors(t13, a, b, c), assembled, atol=1e-10)
@@ -209,8 +209,8 @@ class TestTTensor:
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
             t13 = t_tensor_defining(geom)
-            lowered = np.einsum("iabc,ix->abcx", t13, geom.g_h.mat)
-            closed = rtilde_closed(geom).arr
+            lowered = np.einsum("iabc,ix->abcx", t13, geom.g_h)
+            closed = rtilde_closed(geom)
             assert np.abs(lowered - closed).max() / max(1.0, np.abs(closed).max()) < 1e-4
 
 
@@ -219,7 +219,7 @@ class TestCurvatureRoutes:
         for m, c in CONFIGS:
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
-            arr = rtilde_closed(geom).arr
+            arr = rtilde_closed(geom)
             scale = max(1.0, np.abs(arr).max())
             assert check_pair_antisymmetry(arr) < 1e-10 * scale
             assert np.abs(arr - np.einsum("cxab->abcx", arr)).max() < 1e-10 * scale
@@ -229,7 +229,7 @@ class TestCurvatureRoutes:
     def test_first_bianchi_on_random_triples(self, rng):
         params = ModelParams(1, 0.5)
         geom = geometry_at(params, random_valid_point(params, rng))
-        arr = rtilde_closed(geom).arr
+        arr = rtilde_closed(geom)
         for _ in range(100):
             a, b, c, x = (rng.standard_normal(8) for _ in range(4))
             cyclic = (np.einsum("abcx,a,b,c,x->", arr, a, b, c, x)
@@ -242,15 +242,15 @@ class TestCurvatureRoutes:
 
         params = ModelParams(1, 1.0)
         geom = geometry_at(params, random_valid_point(params, rng))
-        g_h, oh = geom.g_h.mat, geom.omega_h.mat
-        first = form_owedge(g_h, g_h).arr
-        second = form_obar(oh, oh).arr
+        g_h, oh = geom.g_h, geom.omega_h
+        first = form_owedge(g_h, g_h)
+        second = form_obar(oh, oh)
         for k in (1, 2, 3):
             ik = geom.i_mu[k]
-            first = first + form_obar(ik.T @ g_h, ik.T @ g_h).arr
-            second = second + form_owedge(ik.T @ oh, ik.T @ oh).arr
-        assert np.array_equal(form_block(geom, geom.g_h), first)
-        assert np.array_equal(form_block(geom, geom.omega_h), second)
+            first = first + form_obar(ik.T @ g_h, ik.T @ g_h)
+            second = second + form_owedge(ik.T @ oh, ik.T @ oh)
+        assert np.array_equal(form_block(geom, geom.g_h, form_owedge, form_obar), first)
+        assert np.array_equal(form_block(geom, geom.omega_h, form_obar, form_owedge), second)
         for arr in (first, second):
             scale = max(1.0, np.abs(arr).max())
             assert check_pair_antisymmetry(arr) < 1e-10 * scale
@@ -263,8 +263,8 @@ class TestCurvatureRoutes:
         params = ModelParams(m, c)
         for _ in range(2):
             geom = geometry_at(params, random_valid_point(params, rng))
-            closed = rtilde_closed(geom).arr
-            direct = rtilde_direct(geom).arr
+            closed = rtilde_closed(geom)
+            direct = rtilde_direct(geom)
             assert np.abs(direct - closed).max() / max(1.0, np.abs(closed).max()) < 1e-4
 
     def test_metric_compatibility_of_corrected_connection(self, rng):
@@ -275,10 +275,10 @@ class TestCurvatureRoutes:
         point = random_valid_point(params, rng)
         geom = geometry_at(params, point)
         s = s_closed_tensor(geom)
-        gh = geom.g_h.mat
+        gh = geom.g_h
 
         def metric_field(cs):
-            return deformed_metric(params, Point(cs)).mat
+            return deformed_metric(params, Point(cs))
 
         d_gh = finite_diff_gradient(metric_field, point.coords)
         compat = (d_gh - np.einsum("iab,ic->abc", s, gh) - np.einsum("iac,ib->abc", s, gh))

@@ -53,25 +53,31 @@ class TestParamsAndPoint:
 class TestConstantTensors:
     def test_m0_metric_is_negative_identity(self):
         consts = constant_tensors(ModelParams(0))
-        assert_allclose(consts.g.mat, -np.eye(4))
+        assert_allclose(consts.g, -np.eye(4))
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_quaternion_relation(self, m):
         consts = constant_tensors(ModelParams(m))
-        assert_allclose(consts.i1.mat @ consts.i2.mat - consts.i3.mat, 0.0, atol=1e-14)
+        assert_allclose(consts.i1 @ consts.i2 - consts.i3, 0.0, atol=1e-14)
 
     def test_m1_signature(self):
-        eigs = np.linalg.eigvalsh(constant_tensors(ModelParams(1)).g.mat)
+        eigs = np.linalg.eigvalsh(constant_tensors(ModelParams(1)).g)
         assert int((eigs > 0).sum()) == 4 and int((eigs < 0).sum()) == 4
 
-    def test_forms_are_tagged_antisymmetric(self):
+    def test_forms_are_tagged_antisymmetric(self, rng):
         consts = constant_tensors(ModelParams(2))
         for form in (consts.omega1, consts.omega2, consts.omega3, consts.omega_h):
-            assert form.symmetry == "antisymmetric"
+            assert np.array_equal(form, -form.T)
+        # the metrics are built as a diagonal plus sums of outer products: exactly symmetric
+        for m, c in CONFIGS:
+            params = ModelParams(m, c)
+            geom = geometry_at(params, random_valid_point(params, rng))
+            for form in (geom.g, geom.g_h, geom.g_alpha):
+                assert np.array_equal(form, form.T)
 
     def test_corruption_hook_breaks_quaternions(self):
-        consts = constant_tensors(ModelParams(1), corrupt_omega2=True)
-        defect = np.abs(consts.i1.mat @ consts.i2.mat - consts.i3.mat).max()
+        consts = constant_tensors(ModelParams(1, corrupt_omega2=True))
+        defect = np.abs(consts.i1 @ consts.i2 - consts.i3).max()
         assert defect > 1.0
 
 
@@ -98,14 +104,14 @@ class TestVectorZ:
             point = random_valid_point(params, rng)
             z = vector_z(params, point)
             z_norms = np.abs(point.z) ** 2
-            assert_allclose(z @ consts.g.mat @ z, -(z_norms[0] - z_norms[1:].sum()),
+            assert_allclose(z @ consts.g @ z, -(z_norms[0] - z_norms[1:].sum()),
                             rtol=1e-12)
 
     def test_jacobian_matches_field(self, rng):
         params = ModelParams(1)
         consts = constant_tensors(params)
         point = random_valid_point(params, rng)
-        assert_allclose(consts.dz.mat @ point.coords, vector_z(params, point))
+        assert_allclose(consts.dz @ point.coords, vector_z(params, point))
 
 
 class TestScalars:
@@ -128,6 +134,11 @@ class TestScalars:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             scalars(ModelParams(0, 1.0), Point.from_complex([0.5], [3.0]))
+        # |z|^2 overflows: f_z = inf at m = 0, and inf - inf = nan at m = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for params, z in ((ModelParams(0), [1e200]), (ModelParams(1), [1e200, 1e200])):
+                with pytest.raises(DomainViolation, match="finite"):
+                    scalars(params, Point.from_complex(z, np.zeros(len(z))))
 
 
 class TestGeometryAt:
@@ -136,13 +147,13 @@ class TestGeometryAt:
         consts = constant_tensors(params)
         for _ in range(5):
             geom = geometry_at(params, random_valid_point(params, rng))
-            assert_allclose(geom.omega_h.mat, consts.omega_h.mat)
+            assert_allclose(geom.omega_h, consts.omega_h)
 
     def test_comparison_eigenvalues(self, rng):
         for m, c in ((0, 1.0), (2, 0.5)):
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
-            eigs = np.sort(np.linalg.eigvals(geom.k_compare.mat).real)
+            eigs = np.sort(np.linalg.eigvals(geom.k_compare).real)
             expected = np.sort(np.concatenate([
                 np.full(4 * m, geom.f_z),
                 np.full(4, geom.f_z ** 2 / geom.f_h)]))
@@ -150,14 +161,14 @@ class TestGeometryAt:
 
     def test_comparison_square_trace_reference(self):
         geom = geometry_at(ModelParams(0, 1.0), Point.from_complex([2.0], [0.0]))
-        k = geom.k_compare.mat
+        k = geom.k_compare
         assert_allclose(np.trace(k @ k), 3.24, rtol=1e-12)
 
     def test_comparison_formula_carries_gh_to_g(self, rng):
         for m, c in CONFIGS:
             params = ModelParams(m, c)
             geom = geometry_at(params, random_valid_point(params, rng))
-            assert_allclose(geom.k_compare.mat.T @ geom.g_h.mat, geom.g.mat, atol=1e-10)
+            assert_allclose(geom.k_compare.T @ geom.g_h, geom.g, atol=1e-10)
 
     def test_deformed_metric_positive_definite(self, rng):
         for m in (0, 1, 2, 3):
@@ -165,13 +176,13 @@ class TestGeometryAt:
                 params = ModelParams(m, c)
                 for _ in range(10):
                     geom = geometry_at(params, random_valid_point(params, rng))
-                    assert np.linalg.eigvalsh(geom.g_h.mat).min() > 0.0
+                    assert np.linalg.eigvalsh(geom.g_h).min() > 0.0
 
     def test_deformed_metric_helper_matches_snapshot(self, rng):
         params = ModelParams(2, 1.0)
         point = random_valid_point(params, rng)
         geom = geometry_at(params, point)
-        assert_allclose(deformed_metric(params, point).mat, geom.g_h.mat)
+        assert_allclose(deformed_metric(params, point), geom.g_h)
 
     def test_structural_residuals_within_tolerances(self, rng):
         for m, c in CONFIGS:

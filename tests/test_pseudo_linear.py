@@ -9,110 +9,75 @@ from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViola
 from hkqk.flat_model import ModelParams, Point, deformed_metric, geometry_at, random_valid_point, scalars
 from hkqk.kulkarni import form_obar, form_owedge, self_adjoint_defect, skew_adjoint_defect
 from hkqk.pseudo_linear import (
-    BilinearForm,
-    Endomorphism,
-    Frame,
-    Lambda2Operator,
-    QuadCov,
+    compose_trace,
     finite_diff,
     finite_diff_gradient,
     lambda2_gram,
-    lambda2_pairs,
     pseudo_gram_schmidt,
     quadcov_to_lambda2_op,
 )
 
 
-class TestTypes:
-    def test_bilinear_form_rejects_wrong_tag(self):
-        with pytest.raises(ValueError):
-            BilinearForm.symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            BilinearForm.antisymmetric(np.eye(2))
-
-    def test_non_finite_entries_rejected(self):
-        bad = np.eye(3)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            Endomorphism(bad)
-        with pytest.raises(ValueError):
-            QuadCov(np.full((2, 2, 2, 2), np.inf))
-
-    def test_lambda2_operator_requires_triangular_size(self):
-        Lambda2Operator(np.zeros((6, 6)))  # d = 4
-        with pytest.raises(ValueError):
-            Lambda2Operator(np.zeros((5, 5)))
-
-    def test_frame_signs_validated(self):
-        with pytest.raises(ValueError):
-            Frame(np.eye(2), np.array([1.0, 0.5]))
-
-    def test_lambda2_pairs_order(self):
-        assert lambda2_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
 class TestPseudoGramSchmidt:
     def test_euclidean_identity_case(self):
-        frame = pseudo_gram_schmidt(signature_form(2))
-        assert_allclose(frame.vectors, np.eye(2))
-        assert_allclose(frame.signs, [1.0, 1.0])
+        vectors, signs = pseudo_gram_schmidt(signature_form(2))
+        assert_allclose(vectors, np.eye(2))
+        assert_allclose(signs, [1.0, 1.0])
 
     def test_minkowski_diagonal_case(self):
         metric = signature_form(2, negatives=1)
-        frame = pseudo_gram_schmidt(metric)
-        assert_allclose(np.abs(frame.vectors), np.eye(2))
-        assert sorted(frame.signs) == [-1.0, 1.0]
-        assert_allclose(frame.gram(metric), np.diag(frame.signs), atol=1e-14)
+        vectors, signs = pseudo_gram_schmidt(metric)
+        assert_allclose(np.abs(vectors), np.eye(2))
+        assert sorted(signs) == [-1.0, 1.0]
+        assert_allclose(vectors @ metric @ vectors.T, np.diag(signs), atol=1e-14)
 
     def test_random_spd_gram_is_identity(self, rng):
         metric = random_spd_form(rng, 6)
-        frame = pseudo_gram_schmidt(metric)
-        assert_allclose(frame.gram(metric), np.eye(6), atol=1e-10)
+        vectors, _ = pseudo_gram_schmidt(metric)
+        assert_allclose(vectors @ metric @ vectors.T, np.eye(6), atol=1e-10)
 
     @pytest.mark.parametrize("negatives,d", [(0, 4), (2, 6), (4, 8)])
     def test_gramian_matches_signs_for_indefinite_metrics(self, rng, negatives, d):
         base = signature_form(d, negatives)
         q = rng.standard_normal((d, d))
-        mat = q.T @ base.mat @ q
-        metric = BilinearForm.symmetric((mat + mat.T) / 2.0)
-        frame = pseudo_gram_schmidt(metric)
-        assert_allclose(frame.gram(metric), np.diag(frame.signs), atol=1e-10)
-        assert int(np.sum(frame.signs < 0)) == negatives
+        mat = q.T @ base @ q
+        metric = (mat + mat.T) / 2.0
+        vectors, signs = pseudo_gram_schmidt(metric)
+        assert_allclose(vectors @ metric @ vectors.T, np.diag(signs), atol=1e-10)
+        assert set(np.abs(signs)) == {1.0}
+        assert int(np.sum(signs < 0)) == negatives
 
     def test_degenerate_metric_raises(self):
-        metric = BilinearForm.symmetric(np.diag([1.0, 0.0]))
         with pytest.raises(DegenerateMetric):
-            pseudo_gram_schmidt(metric)
+            pseudo_gram_schmidt(np.diag([1.0, 0.0]))
 
     def test_pivoting_takes_largest_norm_first(self):
-        metric = BilinearForm.symmetric(np.diag([1.0, 9.0]))
-        frame = pseudo_gram_schmidt(metric)
-        assert_allclose(frame.vectors[0], [0.0, 1.0 / 3.0])
+        vectors, _ = pseudo_gram_schmidt(np.diag([1.0, 9.0]))
+        assert_allclose(vectors[0], [0.0, 1.0 / 3.0])
 
 
 class TestAdjoint:
     def test_identity_is_self_adjoint(self, rng):
         metric = random_spd_form(rng, 5)
-        assert self_adjoint_defect(Endomorphism(np.eye(5)), metric) < 1e-12
+        assert self_adjoint_defect(np.eye(5), metric) < 1e-12
 
     def test_raised_two_form_is_skew(self, rng):
         metric = random_spd_form(rng, 4)
         omega = rng.standard_normal((4, 4))
         omega = omega - omega.T
-        skew = Endomorphism(np.linalg.solve(metric.mat, omega))
+        skew = np.linalg.solve(metric, omega)
         assert skew_adjoint_defect(skew, metric) < 1e-12
 
     def test_euclidean_adjoint_is_transpose(self, rng):
         # for the Euclidean metric the adjointness defects are the asymmetry of the matrix
         metric = signature_form(7)
-        e = Endomorphism(rng.standard_normal((7, 7)))
-        assert self_adjoint_defect(e, metric) == np.abs(e.mat - e.mat.T).max()
-        assert skew_adjoint_defect(e, metric) == np.abs(e.mat + e.mat.T).max()
+        e = rng.standard_normal((7, 7))
+        assert self_adjoint_defect(e, metric) == np.abs(e - e.T).max()
+        assert skew_adjoint_defect(e, metric) == np.abs(e + e.T).max()
 
     def test_degenerate_metric_raises(self):
-        metric = BilinearForm.symmetric(np.diag([1.0, 1e-15]))
         with pytest.raises(DegenerateMetric):
-            quadcov_to_lambda2_op(QuadCov.zero(2), metric)
+            quadcov_to_lambda2_op(np.zeros((2, 2, 2, 2)), np.diag([1.0, 1e-15]))
 
 
 def _pair_coords(d, u, v):
@@ -124,12 +89,12 @@ class TestQuadcovToLambda2Op:
     def test_metric_product_gives_twice_identity(self):
         metric = signature_form(4)
         op = quadcov_to_lambda2_op(form_owedge(metric, metric), metric)
-        assert_allclose(op.mat, 2.0 * np.eye(6), atol=1e-12)
+        assert_allclose(op, 2.0 * np.eye(6), atol=1e-12)
 
     def test_zero_tensor_gives_zero(self):
         metric = signature_form(4)
-        op = quadcov_to_lambda2_op(QuadCov.zero(4), metric)
-        assert_allclose(op.mat, 0.0, atol=0.0)
+        op = quadcov_to_lambda2_op(np.zeros((4, 4, 4, 4)), metric)
+        assert_allclose(op, 0.0, atol=0.0)
 
     def test_symplectic_obar_trace_square(self):
         # standard symplectic two-form on Euclidean 4-space; frozen from the
@@ -139,34 +104,33 @@ class TestQuadcovToLambda2Op:
         omega[0, 1] = omega[2, 3] = 1.0
         omega = omega - omega.T
         op = quadcov_to_lambda2_op(form_obar(omega, omega), metric)
-        assert_allclose(op.compose_trace(op), 120.0, rtol=1e-12)
+        assert_allclose(compose_trace(op, op), 120.0, rtol=1e-12)
 
     def test_pair_antisymmetry_enforced(self):
         metric = signature_form(3)
         with pytest.raises(PairAntisymmetryViolated):
-            quadcov_to_lambda2_op(QuadCov(np.ones((3, 3, 3, 3))), metric)
+            quadcov_to_lambda2_op(np.ones((3, 3, 3, 3)), metric)
 
     def _random_pair_antisymmetric(self, rng, d):
         arr = rng.standard_normal((d, d, d, d))
         arr = arr - arr.transpose(1, 0, 2, 3)
-        arr = arr - arr.transpose(0, 1, 3, 2)
-        return QuadCov(arr)
+        return arr - arr.transpose(0, 1, 3, 2)
 
     def test_linearity_and_decomposable_evaluation(self, rng):
         d = 5
         metric = random_spd_form(rng, d)
         t1 = self._random_pair_antisymmetric(rng, d)
         t2 = self._random_pair_antisymmetric(rng, d)
-        m1 = quadcov_to_lambda2_op(t1, metric).mat
-        m2 = quadcov_to_lambda2_op(t2, metric).mat
-        combined = quadcov_to_lambda2_op(QuadCov(2.0 * t1.arr - 3.0 * t2.arr), metric).mat
+        m1 = quadcov_to_lambda2_op(t1, metric)
+        m2 = quadcov_to_lambda2_op(t2, metric)
+        combined = quadcov_to_lambda2_op(2.0 * t1 - 3.0 * t2, metric)
         assert_allclose(combined, 2.0 * m1 - 3.0 * m2, atol=1e-9)
 
         g2 = lambda2_gram(metric)
         for _ in range(10):
             a, b, c, x = (rng.standard_normal(d) for _ in range(4))
             lhs = _pair_coords(d, a, b) @ m1.T @ g2 @ _pair_coords(d, c, x)
-            rhs = np.einsum("abcx,a,b,c,x->", t1.arr, a, b, c, x)
+            rhs = np.einsum("abcx,a,b,c,x->", t1, a, b, c, x)
             assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, abs(rhs)))
 
     @pytest.mark.parametrize("d,negatives", [(4, 0), (4, 1), (8, 0), (8, 3)])
@@ -175,12 +139,11 @@ class TestQuadcovToLambda2Op:
         # 1/4 sum_{abcd} e_a e_b e_c e_d T(v_c, v_d, v_a, v_b) <v_a ^ v_b, v_c ^ v_d>
         # over an orthonormal frame, for 20 random tensors
         metric = signature_form(d, negatives)
-        frame = pseudo_gram_schmidt(metric)
-        v, eps = frame.vectors, frame.signs
+        v, eps = pseudo_gram_schmidt(metric)
         for _ in range(20):
             tensor = self._random_pair_antisymmetric(rng, d)
-            op_trace = quadcov_to_lambda2_op(tensor, metric).trace()
-            t_frame = np.einsum("abcx,pa,qb,rc,sx->pqrs", tensor.arr, v, v, v, v)
+            op_trace = np.trace(quadcov_to_lambda2_op(tensor, metric))
+            t_frame = np.einsum("abcx,pa,qb,rc,sx->pqrs", tensor, v, v, v, v)
             wedge = (np.einsum("a,b,ac,bd->abcd", eps, eps, np.eye(d), np.eye(d))
                      - np.einsum("a,b,ad,bc->abcd", eps, eps, np.eye(d), np.eye(d)))
             weighted = 0.25 * np.einsum(
@@ -213,11 +176,11 @@ class TestFiniteDiff:
             point = random_valid_point(params, rng)
             geom = geometry_at(params, point)
             d = params.d
-            g = geom.g.mat
+            g = geom.g
             i_mats = geom.i_mu
-            dz = geom.dz.mat
+            dz = geom.dz
             f_z = geom.f_z
-            g_alpha = geom.g_alpha.mat
+            g_alpha = geom.g_alpha
 
             expected = np.empty((d, d, d))
             for direction in range(d):
@@ -230,7 +193,7 @@ class TestFiniteDiff:
                 expected[direction] = term
 
             def field(cs):
-                return deformed_metric(params, Point(cs)).mat
+                return deformed_metric(params, Point(cs))
 
             fd = finite_diff_gradient(field, point.coords)
             scale = max(1.0, np.abs(expected).max())
