@@ -17,7 +17,7 @@ from .errors import (
     HkqkError,
     PairAntisymmetryViolated,
 )
-from .flat_model import ModelParams, Point, GeometryAt, geometry_at, random_valid_point
+from .flat_model import GeometryAt, ModelParams, geometry_at, random_valid_point
 
 __all__ = [
     "AdjointnessViolated",
@@ -28,7 +28,6 @@ __all__ = [
     "HkqkError",
     "ModelParams",
     "PairAntisymmetryViolated",
-    "Point",
     "geometry_at",
     "random_valid_point",
 ]

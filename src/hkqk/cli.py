@@ -14,6 +14,7 @@ pass, 1 a check or domain constraint failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -26,7 +27,8 @@ from . import curvature as curv
 from . import flat_model as fm
 from . import kulkarni as kn
 from .errors import ConfigError, DomainViolation, HkqkError
-from .pseudo_linear import check_pair_antisymmetry, compose_trace, finite_diff_gradient
+from .pseudo_linear import (check_pair_antisymmetry, compose_trace, finite_diff_gradient,
+                            pseudo_gram_schmidt)
 
 SEED_MIX = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 64) - 1
@@ -152,13 +154,6 @@ CHECKS: dict[str, tuple[float, str]] = {
 }
 
 
-def _structural_and_differential(config: RunConfig, geom: fm.GeometryAt) -> dict[str, float]:
-    res = dict(fm.structural_residuals(geom))
-    res.update(fm.verify_differential_identities(
-        config.params, geom.point, step=config.fd_step))
-    return res
-
-
 def _curvature_type_defects(arr: np.ndarray) -> tuple[float, float, float]:
     """Pair antisymmetry, pair symmetry and first Bianchi defects of a rank-4 array."""
     pair_sym = np.abs(arr - np.einsum("cxab->abcx", arr)).max()
@@ -181,10 +176,8 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     torsion = sc - np.einsum("iba->iab", sc) - np.einsum("ab,i->iab", oh, geom.z_rot) / geom.f_h
     res["s_torsion_formula"] = float(np.abs(torsion).max())
 
-    def metric_field(c):
-        return fm.deformed_metric(config.params, fm.Point(c))
-
-    d_gh = finite_diff_gradient(metric_field, geom.point.coords, step=step)
+    d_gh = finite_diff_gradient(lambda c: fm.deformed_metric(config.params, c), geom.coords,
+                                step=step)
     compat = (d_gh - np.einsum("iab,ic->abc", sc, gh) - np.einsum("iac,ib->abc", sc, gh))
     res["s_metric_compatibility"] = float(np.abs(compat).max() / max(1.0, np.abs(d_gh).max()))
 
@@ -209,10 +202,11 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
 
 
 def _curvature_residuals(geom: fm.GeometryAt, rt_closed, point_seed: int) -> dict[str, float]:
-    op = curv.curvature_operator(geom, rt_closed)
+    report = curv.norm_report(geom, rt_closed, hk_seed=point_seed)
+    op = report.operator
     self_adjoint = float(np.abs(op - op.T).max() / max(1.0, np.abs(op).max()))
     return {"curvature_operator_self_adjoint": self_adjoint,
-            **curv.norm_report(geom, rt_closed, hk_seed=point_seed).residuals,
+            **report.residuals,
             **curv.k_trace_residuals(geom)}
 
 
@@ -322,9 +316,9 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
 
     for index in range(config.samples):
         rng = np.random.default_rng(derived_seed(config.seed, index))
-        point = fm.random_valid_point(params, rng)
-        geom = fm.geometry_at(params, point)
-        fold(_structural_and_differential(config, geom), 1)
+        geom = fm.geometry_at(params, fm.random_valid_point(params, rng))
+        fold(fm.structural_residuals(geom), 1)
+        fold(fm.verify_differential_identities(geom, step=config.fd_step), 1)
         corr_res, rt_closed = _correspondence_residuals(config, geom)
         fold(corr_res, 1)
         fold(_curvature_residuals(geom, rt_closed, derived_seed(config.seed, index)), 1)
@@ -375,7 +369,8 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        # json.dumps spells a non-finite float NaN, Infinity or -Infinity, which json.loads reads
+        return format_float(obj) if math.isfinite(obj) else json.dumps(float(obj))
     if obj is None:
         return "null"
     escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
@@ -438,7 +433,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0
 
 
-def _select_point(config: RunConfig, text: str | None) -> fm.Point:
+def _select_point(config: RunConfig, text: str | None) -> np.ndarray:
     """The ``--point`` coordinates, or a seeded random point when it is omitted."""
     if text is None:
         rng = np.random.default_rng(derived_seed(config.seed, 0))
@@ -452,21 +447,21 @@ def _select_point(config: RunConfig, text: str | None) -> fm.Point:
                           f"got {coords.size}")
     if not np.all(np.isfinite(coords)):
         raise ConfigError(f"--point must have finite coordinates, got {text!r}")
-    return fm.Point(coords)
+    return coords
 
 
 def cmd_norm(config: RunConfig, point_text: str | None) -> int:
     params = config.params
-    point = _select_point(config, point_text)
+    coords = _select_point(config, point_text)
     try:
-        geom = fm.geometry_at(params, point)
+        geom = fm.geometry_at(params, coords)
         report = curv.norm_report(geom, hk_seed=derived_seed(config.seed, 0))
     except DomainViolation as exc:
         print(f"point outside the valid domain: {exc}", file=sys.stderr)
         return 1
     payload = {
         "config": config_dict(config),
-        "point": list(point.coords),
+        "point": list(coords),
         "report": {
             "f_z": report.f_z, "f_h": report.f_h, "rho": report.rho,
             "norm_frame": report.norm_frame, "norm_closed": report.norm_closed,
@@ -479,6 +474,8 @@ def cmd_norm(config: RunConfig, point_text: str | None) -> int:
 
 
 def cmd_sweep(config: RunConfig, rho_min: float, rho_max: float, steps: int) -> int:
+    if not (math.isfinite(rho_min) and math.isfinite(rho_max)):
+        raise ConfigError(f"--rho-min and --rho-max must be finite, got {rho_min}, {rho_max}")
     if not (0.0 < rho_min < rho_max):
         raise ConfigError(f"need 0 < rho_min < rho_max, got {rho_min}, {rho_max}")
     if steps < 2:
@@ -492,8 +489,7 @@ def cmd_sweep(config: RunConfig, rho_min: float, rho_max: float, steps: int) -> 
         f_h = -f_z - config.c
         closed = curv.curvature_norm_closed(params.q, f_z, f_h)
         rng = np.random.default_rng(derived_seed(config.seed, index))
-        point = fm.point_with_f_z(params, f_z, rng)
-        geom = fm.geometry_at(params, point)
+        geom = fm.geometry_at(params, fm.point_with_f_z(params, f_z, rng))
         frame_value = curv.curvature_norm_frame(geom, corr.rtilde_closed(geom))
         closed_values.append(closed)
         rows.append((rho, f_z, f_h, closed, frame_value))
@@ -518,22 +514,22 @@ def cmd_sweep(config: RunConfig, rho_min: float, rho_max: float, steps: int) -> 
 
 def cmd_decompose(config: RunConfig, point_text: str | None) -> int:
     params = config.params
-    point = _select_point(config, point_text)
+    coords = _select_point(config, point_text)
     try:
-        geom = fm.geometry_at(params, point)
+        geom = fm.geometry_at(params, coords)
     except DomainViolation as exc:
         print(f"point outside the valid domain: {exc}", file=sys.stderr)
         return 1
     rt = corr.rtilde_closed(geom)
     r0, r1, nu = curv.alekseevsky_split(geom, rt)
-    vectors, _ = curv.orthonormal_frame(geom)
+    vectors, _ = pseudo_gram_schmidt(geom.g_h)
     r0_frame = curv.quadcov_in_frame(r0, vectors)
     r1_frame = curv.quadcov_in_frame(r1, vectors)
     rng = np.random.default_rng(derived_seed(config.seed, 0))
-    commutator = curv.hk_type_residual(geom, r1, rng, trials=50)
+    commutator = curv.hk_type_residual(geom, r1, rng)
     payload = {
         "config": config_dict(config),
-        "point": list(point.coords),
+        "point": list(coords),
         "report": {
             "nu": nu,
             "f_z": geom.f_z,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flat_model import GeometryAt, Point, deformed_metric, geometry_at
+from .flat_model import GeometryAt, deformed_metric, geometry_at
 from .kulkarni import form_obar, form_owedge
 from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient
 
@@ -56,11 +56,8 @@ def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray
     reach the relative accuracy this route is held to.
     """
     params = geom.params
-
-    def metric_field(c):
-        return deformed_metric(params, Point(c))
-
-    d_gh = finite_diff_gradient(metric_field, geom.point.coords, step=step, order=4)
+    d_gh = finite_diff_gradient(lambda c: deformed_metric(params, c), geom.coords,
+                                step=step, order=4)
     rhs = d_gh + np.einsum("bca->abc", d_gh) - np.einsum("cab->abc", d_gh)
     return _solve_koszul(geom.g_h, rhs)
 
@@ -166,35 +163,31 @@ def dz_plus_sz_closed(geom: GeometryAt) -> np.ndarray:
     return out
 
 
-def _s_tensor(geom: GeometryAt, source: str, step: float) -> np.ndarray:
-    if source == "parts":
-        return s_parts_tensor(geom, step=step)
-    if source == "closed":
-        return s_closed_tensor(geom)
-    raise ValueError(f"unknown correction source {source!r}")
-
-
 def term_ds_fd(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
                s_source: str = "closed") -> np.ndarray:
     """Defining evaluation of (D_A S)_B C - (D_B S)_A C by differentiating S."""
-    def field(c):
-        return _s_tensor(geometry_at(geom.params, Point(c)), s_source, step)
+    if s_source not in ("parts", "closed"):
+        raise ValueError(f"unknown correction source {s_source!r}")
 
-    d_s = finite_diff_gradient(field, geom.point.coords, step=step)
+    def field(c):
+        at = geometry_at(geom.params, c)
+        return s_parts_tensor(at, step=step) if s_source == "parts" else s_closed_tensor(at)
+
+    d_s = finite_diff_gradient(field, geom.coords, step=step)
     return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
 
 
-def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
-                      s_source: str = "parts") -> np.ndarray:
+def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Twist-corrected curvature contribution from the defining expression:
 
     T(A,B)C = (D_A S)_B C - (D_B S)_A C + [S_A, S_B] C
               - w_h(A,B) (D_C Z + S_Z C) / f_h
 
-    as arr[i, a, b, c], with the derivative of S taken by finite differences.
+    as arr[i, a, b, c], with S from the Koszul pieces and its derivative
+    taken by finite differences.
     """
-    s = _s_tensor(geom, s_source, step)
-    return t_from_parts(geom, s, term_ds_fd(geom, step=step, s_source=s_source))
+    s = s_parts_tensor(geom, step=step)
+    return t_from_parts(geom, s, term_ds_fd(geom, step=step, s_source="parts"))
 
 
 def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -232,13 +225,11 @@ def rtilde_closed(geom: GeometryAt) -> np.ndarray:
             - form_block(geom, geom.omega_h, form_obar, form_owedge) / (8.0 * geom.f_z * geom.f_h))
 
 
-def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
-                  s_source: str = "parts") -> np.ndarray:
+def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Defining route: lower T with the deformed metric (R + T with R = 0).
 
-    With the default source the correction itself comes from the Koszul
-    pieces, so this path shares nothing with the closed formulas it is
-    checked against.
+    The correction itself comes from the Koszul pieces, so this path shares
+    nothing with the closed formulas it is checked against.
     """
-    t13 = t_tensor_defining(geom, step=step, s_source=s_source)
+    t13 = t_tensor_defining(geom, step=step)
     return np.einsum("iabc,ix->abcx", t13, geom.g_h)

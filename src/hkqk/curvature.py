@@ -11,7 +11,7 @@ structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +21,10 @@ from .flat_model import GeometryAt
 from .kulkarni import form_obar, form_owedge
 from .pseudo_linear import compose_trace, pseudo_gram_schmidt, quadcov_to_lambda2_op
 
-
-def orthonormal_frame(geom: GeometryAt) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal frame (vectors, signs) of the deformed metric (all signs +1 on the domain)."""
-    return pseudo_gram_schmidt(geom.g_h)
+# powers p = 0..K_TRACE_MAX_EXPONENT of the comparison endomorphism are traced
+K_TRACE_MAX_EXPONENT = 6
+# random unit pairs (A, B) drawn by the commutation check of the remainder
+HK_TRIALS = 50
 
 
 def quadcov_in_frame(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -33,16 +33,15 @@ def quadcov_in_frame(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("abcx,pa,qb,rc,sx->pqrs", tensor, v, v, v, v, optimize=True)
 
 
-def curvature_operator(geom: GeometryAt, rtilde: np.ndarray) -> np.ndarray:
+def curvature_operator(in_frame: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """The curvature tensor as an operator on the exterior square.
 
-    Computed in an orthonormal frame of the deformed metric, so the matrix of
-    a tensor with pair symmetry is symmetric. The change of frame is a linear
-    map, so the transformed tensor is projected back onto its antisymmetric
-    part, discarding pure roundoff from the contraction.
+    Takes the tensor's components ``in_frame`` on an orthonormal frame of the
+    deformed metric with the given signs, so the matrix of a tensor with pair
+    symmetry is symmetric. The change of frame is a linear map, so the
+    components are projected back onto their antisymmetric part, discarding
+    pure roundoff from the contraction.
     """
-    vectors, signs = orthonormal_frame(geom)
-    in_frame = quadcov_in_frame(rtilde, vectors)
     in_frame = 0.5 * (in_frame - in_frame.transpose(1, 0, 2, 3))
     in_frame = 0.5 * (in_frame - in_frame.transpose(0, 1, 3, 2))
     return quadcov_to_lambda2_op(in_frame, np.diag(signs))
@@ -50,7 +49,8 @@ def curvature_operator(geom: GeometryAt, rtilde: np.ndarray) -> np.ndarray:
 
 def curvature_norm_frame(geom: GeometryAt, rtilde: np.ndarray) -> float:
     """Squared operator norm: the trace of the squared curvature operator."""
-    op = curvature_operator(geom, rtilde)
+    vectors, signs = pseudo_gram_schmidt(geom.g_h)
+    op = curvature_operator(quadcov_in_frame(rtilde, vectors), signs)
     return compose_trace(op, op)
 
 
@@ -81,10 +81,10 @@ def trace_k_powers(geom: GeometryAt, exponent: int) -> float:
     return float(4.0 * ((geom.q - 1) * geom.f_z ** p + geom.f_z ** (2 * p) / geom.f_h ** p))
 
 
-def k_trace_residuals(geom: GeometryAt, *, max_exponent: int = 6) -> dict[str, float]:
+def k_trace_residuals(geom: GeometryAt) -> dict[str, float]:
     """Agreement of the closed traces with the explicit matrix, and the vanishing traces.
 
-    Returns the worst relative defect of tr(K^p) over p = 0..max_exponent and
+    Returns the worst relative defect of tr(K^p) over p = 0..K_TRACE_MAX_EXPONENT and
     the largest magnitude among tr(K^p I_k), tr(K^p I_h), tr(K^p I_h I_k).
     """
     k = geom.k_compare
@@ -93,7 +93,7 @@ def k_trace_residuals(geom: GeometryAt, *, max_exponent: int = 6) -> dict[str, f
     power = np.eye(geom.d)
     worst_rel = 0.0
     worst_vanish = 0.0
-    for p in range(max_exponent + 1):
+    for p in range(K_TRACE_MAX_EXPONENT + 1):
         closed = trace_k_powers(geom, p)
         # the closed value crosses zero (odd powers at c = 0, q = 2); floor the scale
         worst_rel = max(worst_rel, abs(np.trace(power) - closed) / max(1.0, abs(closed)))
@@ -128,17 +128,16 @@ def alekseevsky_split(geom: GeometryAt,
     return r0, r1, nu
 
 
-def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator,
-                     *, trials: int = 50) -> float:
+def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator) -> float:
     """Largest commutator entry of the raised remainder with the complex structures.
 
-    Draws random unit pairs (A, B), raises r1(A, B, ., .) to an endomorphism
-    with the deformed metric, and returns max over trials and k of
-    |[r1(A,B), I_k]| entries.
+    Draws HK_TRIALS random unit pairs (A, B), raises r1(A, B, ., .) to an
+    endomorphism with the deformed metric, and returns max over trials and k
+    of |[r1(A,B), I_k]| entries.
     """
     gh_inv = geom.gh_inv
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(HK_TRIALS):
         a = rng.standard_normal(geom.d)
         b = rng.standard_normal(geom.d)
         a /= np.linalg.norm(a)
@@ -166,17 +165,15 @@ def invariance_residual(geom: GeometryAt) -> float:
     return worst
 
 
-def scalar_curvature(geom: GeometryAt, rtilde: np.ndarray) -> float:
-    """Scalar curvature by sign-weighted frame contraction of the lowered tensor."""
-    vectors, signs = orthonormal_frame(geom)
-    in_frame = quadcov_in_frame(rtilde, vectors)
+def scalar_curvature(in_frame: np.ndarray, signs: np.ndarray) -> float:
+    """Scalar curvature by sign-weighted contraction of the lowered tensor's frame components."""
     ricci = np.einsum("a,abca->bc", signs, in_frame)
     return float(np.einsum("b,bb->", signs, ricci))
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """Curvature-norm summary at one point, with cross-check residuals."""
+    """Curvature-norm summary at one point, its cross-check residuals and curvature operator."""
 
     f_z: float
     f_h: float
@@ -185,16 +182,20 @@ class NormReport:
     norm_closed: float
     scal: float
     nu: float
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float]
+    operator: np.ndarray
 
 
 def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
-                *, hk_trials: int = 50, hk_seed: int = 0) -> NormReport:
-    """Evaluate both norm routes, the scalar curvature, and the split checks."""
+                *, hk_seed: int = 0) -> NormReport:
+    """Evaluate both norm routes, the scalar curvature (on the same frame), and the split checks."""
     rt = rtilde if rtilde is not None else rtilde_closed(geom)
-    frame_norm = curvature_norm_frame(geom, rt)
+    vectors, signs = pseudo_gram_schmidt(geom.g_h)
+    in_frame = quadcov_in_frame(rt, vectors)
+    op = curvature_operator(in_frame, signs)
+    frame_norm = compose_trace(op, op)
     closed_norm = curvature_norm_closed(geom.q, geom.f_z, geom.f_h)
-    scal = scalar_curvature(geom, rt)
+    scal = scalar_curvature(in_frame, signs)
     q = geom.q
     nu = scal / (4.0 * q * (q + 2))
     _, r1, _ = alekseevsky_split(geom, rt)
@@ -202,7 +203,7 @@ def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
     residuals = {
         "norm_frame_vs_closed_rel": abs(frame_norm - closed_norm) / abs(closed_norm),
         "scal_vs_expected_rel": abs(scal + 4.0 * q * (q + 2)) / (4.0 * q * (q + 2)),
-        "hk_type_commutator": hk_type_residual(geom, r1, rng, trials=hk_trials),
+        "hk_type_commutator": hk_type_residual(geom, r1, rng),
         "split_invariance": invariance_residual(geom),
     }
     return NormReport(
@@ -214,4 +215,5 @@ def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
         scal=scal,
         nu=nu,
         residuals=residuals,
+        operator=op,
     )

@@ -2,11 +2,12 @@
 
 The model lives on pairs of complex vectors (z, w) of length m+1, with real
 dimension d = 4(m+1). Coordinates are ordered (x_0, y_0, ..., x_m, y_m,
-u_0, v_0, ..., u_m, v_m) with z_j = x_j + i y_j and w_j = u_j + i v_j; every
-matrix in the package refers to this one frame. The flat metric and its three
-Kaehler forms are constant, carry signature (4m, 4) with the negative block on
-(z_0, w_0), and come with a rotating circle action whose generator is linear
-in the coordinates. From these the module assembles the scalars f_z, f_h, the
+u_0, v_0, ..., u_m, v_m) with z_j = x_j + i y_j and w_j = u_j + i v_j; a point
+is a (d,) float array of these coordinates, and every matrix in the package
+refers to this one frame. The flat metric and its three Kaehler forms are
+constant, carry signature (4m, 4) with the negative block on (z_0, w_0), and
+come with a rotating circle action whose generator is linear in the
+coordinates. From these the module assembles the scalars f_z, f_h, the
 deformed metric g_h, the comparison endomorphism between the two metrics, and
 the twist two-form, and it verifies the differential identities relating them.
 """
@@ -57,68 +58,33 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Point:
-    """A point, stored as d real coordinates in the fixed ordering."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.size % 4 != 0 or coords.size == 0:
-            raise ValueError(f"coordinates must be a flat vector of length 4(m+1), got {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coordinates contain non-finite entries")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def q(self) -> int:
-        return self.coords.size // 4
-
-    @property
-    def z(self) -> np.ndarray:
-        zc = self.coords[: 2 * self.q]
-        return zc[0::2] + 1j * zc[1::2]
-
-    @property
-    def w(self) -> np.ndarray:
-        wc = self.coords[2 * self.q:]
-        return wc[0::2] + 1j * wc[1::2]
-
-    @classmethod
-    def from_complex(cls, z, w) -> "Point":
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        if z.shape != w.shape:
-            raise ValueError("z and w must have the same length")
-        coords = np.concatenate([
-            np.column_stack([z.real, z.imag]).ravel(),
-            np.column_stack([w.real, w.imag]).ravel(),
-        ])
-        return cls(coords)
-
-
-@dataclass(frozen=True)
 class ConstantTensors:
     """The point-independent tensors of the model for one family index.
 
     Bilinear forms and endomorphisms alike are d x d matrices in the fixed frame.
+    ``omega_mu`` is (g, omega_1, omega_2, omega_3) and ``i_mu`` is
+    (id, I_1, I_2, I_3), both indexed by mu = 0..3.
     """
 
     g: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    omega3: np.ndarray
+    omega_mu: tuple[np.ndarray, ...]
     omega_h: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
-    i3: np.ndarray
+    i_mu: tuple[np.ndarray, ...]
     dz: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _constant_tensors_cached(m: int, corrupt_omega2: bool) -> ConstantTensors:
-    q = m + 1
-    d = 4 * q
+# keyed on the whole of params, c included; bounded so that a loop over many c stays small
+@lru_cache(maxsize=64)
+def constant_tensors(params: ModelParams) -> ConstantTensors:
+    """Flat metric, the three Kaehler forms, the twist form, and derived structures.
+
+    The complex structures are recovered by raising the forms with the metric,
+    not transcribed as sign patterns; the quaternion relations are asserted on
+    construction. With ``params.corrupt_omega2`` the second form changes sign
+    and the assertion is skipped.
+    """
+    q = params.q
+    d = params.d
     sign = np.ones(d)
     sign[[0, 1, 2 * q, 2 * q + 1]] = -1.0
     g = np.diag(sign)
@@ -144,7 +110,7 @@ def _constant_tensors_cached(m: int, corrupt_omega2: bool) -> ConstantTensors:
         dz[y, x] = -1.0
     for o in (o1, o2, o3, oh):
         o -= o.T
-    if corrupt_omega2:
+    if params.corrupt_omega2:
         o2 = -o2  # test hook: deliberately break the orientation of the second form
 
     ginv = np.diag(1.0 / sign)
@@ -152,7 +118,7 @@ def _constant_tensors_cached(m: int, corrupt_omega2: bool) -> ConstantTensors:
     i2 = -ginv @ o2
     i3 = -ginv @ o3
 
-    if not corrupt_omega2:
+    if not params.corrupt_omega2:
         # derived complex structures must close the quaternion algebra
         eye = np.eye(d)
         for a, b, prod in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2)):
@@ -161,63 +127,36 @@ def _constant_tensors_cached(m: int, corrupt_omega2: bool) -> ConstantTensors:
         ih = i1 + 2.0 * dz
         assert np.abs(ih @ ih + eye).max() < 1e-14
 
-    return ConstantTensors(
-        g=g,
-        omega1=o1,
-        omega2=o2,
-        omega3=o3,
-        omega_h=oh,
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        dz=dz,
-    )
+    return ConstantTensors(g=g, omega_mu=(g, o1, o2, o3), omega_h=oh,
+                           i_mu=(np.eye(d), i1, i2, i3), dz=dz)
 
 
-def constant_tensors(params: ModelParams) -> ConstantTensors:
-    """Flat metric, the three Kaehler forms, the twist form, and derived structures.
-
-    The complex structures are recovered by raising the forms with the metric,
-    not transcribed as sign patterns; the quaternion relations are asserted on
-    construction. With ``params.corrupt_omega2`` the second form changes sign
-    and the assertion is skipped.
-    """
-    return _constant_tensors_cached(params.m, params.corrupt_omega2)
-
-
-def vector_z(params: ModelParams, point: Point) -> np.ndarray:
+def vector_z(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     """Generator of the rotating circle action at a point: (y_j, -x_j) on the z-block."""
     q = params.q
-    if point.q != q:
-        raise ValueError(f"point has {point.q} complex pairs, expected {q}")
     out = np.zeros(params.d)
-    zc = point.coords[: 2 * q]
+    zc = coords[: 2 * q]
     out[0: 2 * q: 2] = zc[1::2]
     out[1: 2 * q: 2] = -zc[0::2]
     return out
 
 
-def _z_norms(params: ModelParams, point: Point) -> np.ndarray:
-    zc = point.coords[: 2 * params.q]
-    return zc[0::2] ** 2 + zc[1::2] ** 2
-
-
-@dataclass(frozen=True)
-class Scalars:
-    f_z: float
-    f_h: float
-    g_zz: float
-
-
-def scalars(params: ModelParams, point: Point) -> Scalars:
-    """The Hamiltonian f_z, the twist function f_h, and the squared field length.
+def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, float]:
+    """The Hamiltonian f_z, the twist function f_h, and the squared field length g(Z, Z).
 
     f_z = (|z_0|^2 - sum_{j>=1} |z_j|^2)/2 - c/2 must stay positive; f_h is its
-    reflection -f_z - c, and f_h = f_z + g(Z, Z) ties the two together.
+    reflection -f_z - c, and f_h = f_z + g(Z, Z) ties the two together. Every
+    evaluation at a point passes through here, so this is where the coordinates
+    are checked: a flat vector of length d = 4(m+1) with finite entries.
     """
-    if point.q != params.q:
-        raise ValueError(f"point has {point.q} complex pairs, expected {params.q}")
-    z2 = _z_norms(params, point)
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (params.d,):
+        raise ValueError(f"coordinates must be a flat vector of length 4(m+1) = {params.d}, "
+                         f"got shape {coords.shape}")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coordinates contain non-finite entries")
+    zc = coords[: 2 * params.q]
+    z2 = zc[0::2] ** 2 + zc[1::2] ** 2
     base = z2[0] - z2[1:].sum()
     f_z = 0.5 * base - 0.5 * params.c
     f_h = -0.5 * base - 0.5 * params.c
@@ -225,7 +164,7 @@ def scalars(params: ModelParams, point: Point) -> Scalars:
         raise DomainViolation(f"f_z = {f_z:.3e} and f_h = {f_h:.3e} must be finite")
     if f_z <= DOMAIN_EPS:
         raise DomainViolation(f"f_z = {f_z:.3e} is not positive (threshold {DOMAIN_EPS:.0e})")
-    return Scalars(f_z=f_z, f_h=f_h, g_zz=-base)
+    return f_z, f_h, -base
 
 
 @dataclass(eq=False)
@@ -234,23 +173,21 @@ class GeometryAt:
 
     Matrix fields are d x d arrays in the fixed coordinate frame, bilinear
     forms (g, the omegas, g_h, g_alpha) and endomorphisms (the I's, dz,
-    k_compare) alike. ``alpha[mu]`` are the four lowered contractions of the
-    rotating field with (g, omega1..3);
+    k_compare) alike. ``coords`` are the d real coordinates of the point.
+    ``omega_mu`` is (g, omega_1, omega_2, omega_3) and ``i_mu`` is
+    (id, I_1, I_2, I_3), indexed by mu = 0..3. ``alpha[mu]`` are the four
+    lowered contractions of the rotating field with ``omega_mu``;
     ``k_compare`` is the endomorphism carrying g_h back to g, multiplication
     by f_z off the quaternionic span of the rotating field and by f_z^2/f_h
     along it.
     """
 
     params: ModelParams
-    point: Point
+    coords: np.ndarray
     g: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    omega3: np.ndarray
+    omega_mu: tuple[np.ndarray, ...]
     omega_h: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
-    i3: np.ndarray
+    i_mu: tuple[np.ndarray, ...]
     i_h: np.ndarray
     dz: np.ndarray
     k_compare: np.ndarray
@@ -271,16 +208,6 @@ class GeometryAt:
         return self.params.q
 
     @cached_property
-    def i_mu(self) -> tuple[np.ndarray, ...]:
-        """Matrices (id, I_1, I_2, I_3), indexed by mu = 0..3."""
-        return (np.eye(self.d), self.i1, self.i2, self.i3)
-
-    @cached_property
-    def omega_mu(self) -> tuple[np.ndarray, ...]:
-        """Matrices (g, omega_1, omega_2, omega_3), indexed by mu = 0..3."""
-        return (self.g, self.omega1, self.omega2, self.omega3)
-
-    @cached_property
     def gh_inv(self) -> np.ndarray:
         return np.linalg.inv(self.g_h)
 
@@ -288,58 +215,54 @@ class GeometryAt:
 def _metric_data(consts: ConstantTensors, f_z: float, z: np.ndarray):
     """alpha_mu = omega_mu(Z, .) = g(I_mu Z, .), g_alpha = sum_mu alpha_mu^2, g_h = g/f_z + g_alpha/f_z^2."""
     g = consts.g
-    alpha = (g @ z, consts.omega1.T @ z, consts.omega2.T @ z, consts.omega3.T @ z)
+    alpha = (g @ z, *(om.T @ z for om in consts.omega_mu[1:]))
     g_alpha = sum(np.outer(a, a) for a in alpha)
     return alpha, g_alpha, g / f_z + g_alpha / f_z ** 2
 
 
-def deformed_metric(params: ModelParams, point: Point) -> np.ndarray:
+def deformed_metric(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain."""
     consts = constant_tensors(params)
-    _, _, g_h = _metric_data(consts, scalars(params, point).f_z, vector_z(params, point))
+    _, _, g_h = _metric_data(consts, scalars(params, coords)[0], vector_z(params, coords))
     return g_h
 
 
-def geometry_at(params: ModelParams, point: Point) -> GeometryAt:
+def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:
     """Evaluate the full geometric snapshot at one point of the domain."""
     consts = constant_tensors(params)
-    sc = scalars(params, point)
+    coords = np.asarray(coords, dtype=float)
+    f_z, f_h, g_zz = scalars(params, coords)
     d = params.d
-    z = vector_z(params, point)
+    z = vector_z(params, coords)
 
-    i_mats = (np.eye(d), consts.i1, consts.i2, consts.i3)
-    alpha, g_alpha, g_h = _metric_data(consts, sc.f_z, z)
-    i_h = consts.i1 + 2.0 * consts.dz
-    k = sc.f_z * np.eye(d) - (sc.f_z / sc.f_h) * sum(
-        np.outer(i @ z, a) for i, a in zip(i_mats, alpha))
+    alpha, g_alpha, g_h = _metric_data(consts, f_z, z)
+    i_h = consts.i_mu[1] + 2.0 * consts.dz
+    k = f_z * np.eye(d) - (f_z / f_h) * sum(
+        np.outer(i @ z, a) for i, a in zip(consts.i_mu, alpha))
 
     return GeometryAt(
         params=params,
-        point=point,
+        coords=coords,
         g=consts.g,
-        omega1=consts.omega1,
-        omega2=consts.omega2,
-        omega3=consts.omega3,
+        omega_mu=consts.omega_mu,
         omega_h=consts.omega_h,
-        i1=consts.i1,
-        i2=consts.i2,
-        i3=consts.i3,
+        i_mu=consts.i_mu,
         i_h=i_h,
         dz=consts.dz,
         k_compare=k,
         z_rot=z,
         alpha=alpha,
-        f_z=sc.f_z,
-        f_h=sc.f_h,
-        g_zz=sc.g_zz,
+        f_z=f_z,
+        f_h=f_h,
+        g_zz=g_zz,
         g_h=g_h,
         g_alpha=g_alpha,
     )
 
 
 def random_valid_point(params: ModelParams, rng: np.random.Generator,
-                       *, f_z_range: tuple[float, float] = (0.1, 5.0)) -> Point:
-    """Sample a domain point with f_z uniform in ``f_z_range``.
+                       *, f_z_range: tuple[float, float] = (0.1, 5.0)) -> np.ndarray:
+    """Sample the coordinates of a domain point with f_z uniform in ``f_z_range``.
 
     Directions are drawn isotropically and z_0 is rescaled to hit the target;
     the w coordinates are unconstrained standard normals.
@@ -350,42 +273,38 @@ def random_valid_point(params: ModelParams, rng: np.random.Generator,
     radius_sq = 2.0 * target + params.c + np.sum(np.abs(z[1:]) ** 2)
     z[0] *= np.sqrt(radius_sq) / abs(z[0])
     w = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-    return Point.from_complex(z, w)
+    # interleave into the fixed ordering (x_0, y_0, ..., u_0, v_0, ...)
+    return np.concatenate([np.column_stack([z.real, z.imag]).ravel(),
+                           np.column_stack([w.real, w.imag]).ravel()])
 
 
-def point_with_f_z(params: ModelParams, f_z: float, rng: np.random.Generator) -> Point:
-    """Sample a domain point with the exact given value of f_z."""
+def point_with_f_z(params: ModelParams, f_z: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample the coordinates of a domain point with the exact given value of f_z."""
     if f_z <= DOMAIN_EPS:
         raise DomainViolation(f"requested f_z = {f_z:.3e} is not positive")
     return random_valid_point(params, rng, f_z_range=(f_z, f_z))
 
 
-def _fd_one_form_differential(field, coords, step):
-    """Exterior derivative of a covector field by finite differences: dA[a,b] = d_a A_b - d_b A_a."""
-    grad = finite_diff_gradient(field, coords, step=step)
-    return grad - grad.T
-
-
-def verify_differential_identities(params: ModelParams, point: Point,
+def verify_differential_identities(geom: GeometryAt,
                                    *, step: float = DEFAULT_FD_STEP) -> dict[str, float]:
     """Residuals of the differential identities tying the twist data together.
 
-    Derivatives are taken by central finite differences; the summed identity
-    is purely algebraic in the field Jacobian and needs none. Keys map to the
-    max-norm residual of the identity named.
+    Derivatives are taken by central finite differences at ``geom.coords``;
+    the summed identity is purely algebraic in the field Jacobian and needs
+    none. Keys map to the max-norm residual of the identity named.
     """
-    geom = geometry_at(params, point)
-    coords = point.coords
+    params, coords = geom.params, geom.coords
     g, dz = geom.g, geom.dz
     omega = geom.omega_mu
     i_mats = geom.i_mu
 
-    def alpha_field(mu):
-        def field(c):
-            return g @ (i_mats[mu] @ vector_z(params, Point(c)))
-        return field
+    def exterior_d_alpha(mu):
+        """d alpha_mu by finite differences: dA[a,b] = d_a A_b - d_b A_a."""
+        grad = finite_diff_gradient(lambda c: g @ (i_mats[mu] @ vector_z(params, c)),
+                                    coords, step=step)
+        return grad - grad.T
 
-    d_alpha = [_fd_one_form_differential(alpha_field(mu), coords, step) for mu in range(4)]
+    d_alpha = [exterior_d_alpha(mu) for mu in range(4)]
 
     res: dict[str, float] = {}
     res["d_alpha0_eq_2g_dz"] = float(np.abs(d_alpha[0] - 2.0 * dz.T @ g).max())
@@ -396,20 +315,12 @@ def verify_differential_identities(params: ModelParams, point: Point,
     res["rotating_lie_omega2_eq_omega3"] = float(np.abs(d_alpha[2] - omega[3]).max())
     res["rotating_lie_omega3_eq_minus_omega2"] = float(np.abs(d_alpha[3] + omega[2]).max())
 
-    def f_z_field(c):
-        return scalars(params, Point(c)).f_z
-
-    def f_h_field(c):
-        return scalars(params, Point(c)).f_h
-
-    grad_fz = finite_diff_gradient(f_z_field, coords, step=step)
-    grad_fh = finite_diff_gradient(f_h_field, coords, step=step)
+    grad_fz = finite_diff_gradient(lambda c: scalars(params, c)[0], coords, step=step)
+    grad_fh = finite_diff_gradient(lambda c: scalars(params, c)[1], coords, step=step)
     res["moment_map_f_z"] = float(np.abs(geom.alpha[1] + grad_fz).max())
     alpha_h = geom.g @ (geom.i_h @ geom.z_rot)
     res["moment_map_f_h"] = float(np.abs(alpha_h + grad_fh).max())
-
-    d_alpha0 = d_alpha[0]
-    res["twist_form_from_omega1"] = float(np.abs(geom.omega_h - omega[1] - d_alpha0).max())
+    res["twist_form_from_omega1"] = float(np.abs(geom.omega_h - omega[1] - d_alpha[0]).max())
 
     res["sum_identity"] = sum_identity_residual(geom)
     return res

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AdjointnessViolated, PairAntisymmetryViolated
-from .pseudo_linear import check_pair_antisymmetry, quadcov_to_lambda2_op
+from .errors import AdjointnessViolated
+from .pseudo_linear import quadcov_to_lambda2_op, require_pair_antisymmetry
 
 ADJOINT_TOL = 1e-10
 
@@ -23,18 +23,14 @@ def kn_owedge(p: np.ndarray) -> np.ndarray:
             + np.einsum("bxac->abcx", p) - np.einsum("bcax->abcx", p))
 
 
-def kn_obar(p: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
+def kn_obar(p: np.ndarray) -> np.ndarray:
     """Second product: out = first product + 2 P(A,B,C,X) + 2 P(C,X,A,B).
 
-    Requires the input to be antisymmetric in both index pairs, within ``tol``
-    relative to the tensor's magnitude (floored at 1); on the outer product of
-    two two-forms the result is an algebraic curvature tensor.
+    Requires the input to be antisymmetric in both index pairs
+    (``require_pair_antisymmetry``); on the outer product of two two-forms the
+    result is an algebraic curvature tensor.
     """
-    scale = max(1.0, float(np.abs(p).max()))
-    defect = check_pair_antisymmetry(p)
-    if defect > tol * scale:
-        raise PairAntisymmetryViolated(
-            f"pair antisymmetry defect {defect:.2e} > {tol:.2e} * scale {scale:.2e}")
+    require_pair_antisymmetry(p)
     return kn_owedge(p) + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p)
 
 
@@ -43,9 +39,9 @@ def form_owedge(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return kn_owedge(np.einsum("ab,cx->abcx", alpha, beta))
 
 
-def form_obar(alpha: np.ndarray, beta: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
+def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Second product of two two-forms, via their outer product."""
-    return kn_obar(np.einsum("ab,cx->abcx", alpha, beta), tol=tol)
+    return kn_obar(np.einsum("ab,cx->abcx", alpha, beta))
 
 
 def self_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
@@ -66,12 +62,11 @@ def endo_owedge(e: np.ndarray, f: np.ndarray, metric: np.ndarray) -> np.ndarray:
     return quadcov_to_lambda2_op(kn_owedge(lowered), metric)
 
 
-def endo_obar(k: np.ndarray, l: np.ndarray, metric: np.ndarray,
-              *, tol: float = ADJOINT_TOL) -> np.ndarray:
+def endo_obar(k: np.ndarray, l: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """Operator form of the second product for two metric-skew endomorphisms."""
     for name, endo in (("first", k), ("second", l)):
         defect = skew_adjoint_defect(endo, metric)
-        if defect > tol:
+        if defect > ADJOINT_TOL:
             raise AdjointnessViolated(f"{name} argument fails skew-adjointness by {defect:.2e}")
     lowered = np.einsum("ab,cx->abcx", k.T @ metric, l.T @ metric)
     return quadcov_to_lambda2_op(kn_obar(lowered), metric)
@@ -87,32 +82,30 @@ def owedge_pair_trace(e: np.ndarray, f: np.ndarray) -> float:
     return 2.0 * t * t - 2.0 * float(np.trace(ef @ ef))
 
 
-def obar_pair_trace(k: np.ndarray, l: np.ndarray, metric: np.ndarray,
-                    *, tol: float = ADJOINT_TOL) -> float:
+def obar_pair_trace(k: np.ndarray, l: np.ndarray, metric: np.ndarray) -> float:
     """tr((K . K) o (L . L)) for the second product: 6 tr(KL)^2 + 6 tr((KL)^2).
 
     Requires K and L to be metric-skew.
     """
     for name, endo in (("K", k), ("L", l)):
         defect = skew_adjoint_defect(endo, metric)
-        if defect > tol:
+        if defect > ADJOINT_TOL:
             raise AdjointnessViolated(f"{name} fails skew-adjointness by {defect:.2e}")
     kl = k @ l
     t = float(np.trace(kl))
     return 6.0 * t * t + 6.0 * float(np.trace(kl @ kl))
 
 
-def mixed_pair_trace(e: np.ndarray, k: np.ndarray, metric: np.ndarray,
-                     *, tol: float = ADJOINT_TOL) -> float:
+def mixed_pair_trace(e: np.ndarray, k: np.ndarray, metric: np.ndarray) -> float:
     """Mixed trace of the two products: 2 tr(EK)^2 - 6 tr((EK)^2).
 
     Requires E metric-self-adjoint and K metric-skew.
     """
     defect = self_adjoint_defect(e, metric)
-    if defect > tol:
+    if defect > ADJOINT_TOL:
         raise AdjointnessViolated(f"E fails self-adjointness by {defect:.2e}")
     defect = skew_adjoint_defect(k, metric)
-    if defect > tol:
+    if defect > ADJOINT_TOL:
         raise AdjointnessViolated(f"K fails skew-adjointness by {defect:.2e}")
     ek = e @ k
     t = float(np.trace(ek))

@@ -17,6 +17,10 @@ from .errors import DegenerateMetric, PairAntisymmetryViolated
 
 DEFAULT_FD_STEP = 1e-5
 PIVOT_TOL = 1e-10
+# quadcov_to_lambda2_op refuses a metric whose smallest/largest singular value is at most this
+NONDEGENERATE_RTOL = 1e-12
+# allowed pair-antisymmetry defect of a rank-4 input, relative to its magnitude floored at 1
+PAIR_ANTISYMMETRY_TOL = 1e-10
 
 
 def compose_trace(a: np.ndarray, b: np.ndarray) -> float:
@@ -31,21 +35,13 @@ def lambda2_gram(B: np.ndarray) -> np.ndarray:
             - B[np.ix_(ii, jj)] * B[np.ix_(jj, ii)])
 
 
-def _require_nondegenerate(mat: np.ndarray, what: str, rtol: float = 1e-12) -> None:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= rtol * sv[0]:
-        raise DegenerateMetric(f"{what} is numerically singular "
-                               f"(smallest/largest singular value = {sv[-1] / sv[0]:.2e})")
-
-
-def pseudo_gram_schmidt(B: np.ndarray, *,
-                        pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def pseudo_gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivoted modified Gram-Schmidt with respect to a possibly indefinite metric.
 
     Starts from the coordinate basis and returns the frame as (vectors, signs):
     ``vectors[a]`` is the a-th frame vector and B(v_a, v_b) = signs[a] * delta_ab,
     each sign +/-1. At each step the remaining candidate with the largest
-    |B(v, v)| is taken; a pivot at or below ``pivot_tol`` raises DegenerateMetric.
+    |B(v, v)| is taken; a pivot at or below PIVOT_TOL raises DegenerateMetric.
     """
     d = B.shape[0]
     remaining = [np.eye(d)[k] for k in range(d)]
@@ -56,9 +52,9 @@ def pseudo_gram_schmidt(B: np.ndarray, *,
         norms = np.array([v @ B @ v for v in remaining])
         k = int(np.argmax(np.abs(norms)))
         norm = norms[k]
-        if abs(norm) <= pivot_tol:
+        if abs(norm) <= PIVOT_TOL:
             raise DegenerateMetric(f"pivot {abs(norm):.2e} at step {slot} "
-                                   f"is below threshold {pivot_tol:.2e}")
+                                   f"is below threshold {PIVOT_TOL:.2e}")
         v = remaining.pop(k) / np.sqrt(abs(norm))
         sign = 1.0 if norm > 0 else -1.0
         vectors[slot] = v
@@ -78,22 +74,28 @@ def check_pair_antisymmetry(arr: np.ndarray) -> float:
                np.abs(arr + arr.transpose(0, 1, 3, 2)).max())
 
 
-def quadcov_to_lambda2_op(tensor: np.ndarray, metric: np.ndarray,
-                          *, tol: float = 1e-10) -> np.ndarray:
+def require_pair_antisymmetry(arr: np.ndarray) -> None:
+    """Raise unless the defect is within PAIR_ANTISYMMETRY_TOL of the magnitude (floored at 1)."""
+    scale = max(1.0, float(np.abs(arr).max()))
+    defect = check_pair_antisymmetry(arr)
+    if defect > PAIR_ANTISYMMETRY_TOL * scale:
+        raise PairAntisymmetryViolated(f"pair antisymmetry defect {defect:.2e} > "
+                                       f"{PAIR_ANTISYMMETRY_TOL:.2e} * scale {scale:.2e}")
+
+
+def quadcov_to_lambda2_op(tensor: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """Operator M on the exterior square with <M(A^B), C^X> = T(A, B, C, X).
 
     The matrix acts on the basis e_a ^ e_b ordered lexicographically over
     pairs (a, b) with a < b, so its size is D = d(d-1)/2. The inner product on
     wedges is the one induced by ``metric``; the rank-4 input must be
-    antisymmetric in both index pairs, within ``tol`` relative to the tensor's
-    magnitude (floored at 1).
+    antisymmetric in both index pairs (``require_pair_antisymmetry``).
     """
-    scale = max(1.0, float(np.abs(tensor).max()))
-    defect = check_pair_antisymmetry(tensor)
-    if defect > tol * scale:
-        raise PairAntisymmetryViolated(
-            f"pair antisymmetry defect {defect:.2e} > {tol:.2e} * scale {scale:.2e}")
-    _require_nondegenerate(metric, "metric")
+    require_pair_antisymmetry(tensor)
+    sv = np.linalg.svd(metric, compute_uv=False)
+    if sv[-1] <= NONDEGENERATE_RTOL * sv[0]:
+        raise DegenerateMetric("metric is numerically singular "
+                               f"(smallest/largest singular value = {sv[-1] / sv[0]:.2e})")
     ii, jj = np.triu_indices(tensor.shape[0], 1)
     T2 = tensor[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
     G2 = lambda2_gram(metric)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 from numpy.testing import assert_allclose
 
-from hkqk import flat_model
+from hkqk import curvature, flat_model
 from hkqk.cli import CHECKS, format_float, main, to_json
 
 
@@ -43,6 +43,12 @@ class TestConfigValidation:
         for command in ("norm", "decompose"):
             assert main([command, "--m", "0", "--point", "nan,0,0,0"]) == 2
             assert main([command, "--m", "0", "--point", "2,inf,0,0"]) == 2
+
+    def test_non_finite_rho_rejected(self, capsys):
+        for rho_min, rho_max in (("0.1", "inf"), ("nan", "1"), ("0.1", "nan"), ("-inf", "1")):
+            assert main(["sweep", "--m", "0", "--c", "1", f"--rho-min={rho_min}",
+                         f"--rho-max={rho_max}", "--steps", "3"]) == 2
+            assert "configuration error" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -81,6 +87,24 @@ class TestVerify:
         assert code == 1
         rows = {row["name"]: row for row in csv.DictReader(out.read_text().splitlines())}
         assert (rows["f_h_identity"]["max_residual"], rows["f_h_identity"]["passed"]) == ("nan", "false")
+        # the JSON report spells the NaN so that json.loads reads it back
+        code, out = run_json(tmp_path, ["verify", "--m", "0", "--samples", "2"])
+        assert code == 1
+        row = {r["name"]: r for r in json.loads(out.read_text())["results"]}["f_h_identity"]
+        assert np.isnan(row["max_residual"]) and row["passed"] is False
+
+    def test_frame_built_once_per_point(self, tmp_path, monkeypatch):
+        # one frame, one change of frame and one wedge operator per verify point,
+        # plus one each for the two points of every equal-f_z profile sample
+        calls = {}
+        for name in ("pseudo_gram_schmidt", "quadcov_in_frame", "curvature_operator"):
+            def counted(*args, _name=name, _original=getattr(curvature, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(curvature, name, counted)
+        code, _ = run_json(tmp_path, ["verify", "--m", "1", "--samples", "1"])
+        assert code == 0
+        assert calls == {"pseudo_gram_schmidt": 3, "quadcov_in_frame": 3, "curvature_operator": 3}
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["verify", "--m", "0", "--c", "1", "--seed", "7", "--samples", "2"]
@@ -235,3 +259,9 @@ class TestSerialization:
         parsed = json.loads(text)
         assert parsed == {"b": [1, 2.5, {"x": True}], "a": None}
         assert text.index('"b"') < text.index('"a"')  # insertion order kept
+
+    def test_non_finite_floats_are_readable_json(self):
+        text = to_json([float("nan"), float("inf"), -np.inf, 0.1])
+        assert text.split() == ["[", "NaN,", "Infinity,", "-Infinity,", "0.10000000000000001", "]"]
+        parsed = json.loads(text)
+        assert np.isnan(parsed[0]) and parsed[1:] == [np.inf, -np.inf, 0.1]

@@ -15,19 +15,20 @@ from hkqk.correspondence import (
     s_h_tensor,
     s_parts_tensor,
     s_q_tensor,
+    t_from_parts,
     t_tensor_defining,
     term_comm_closed,
     term_ds_closed,
     term_ds_fd,
 )
-from hkqk.flat_model import ModelParams, Point, geometry_at, random_valid_point
+from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
 from hkqk.pseudo_linear import check_pair_antisymmetry
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
 
 
 def reference_geometry():
-    return geometry_at(ModelParams(0, 1.0), Point.from_complex([2.0], [0.0]))
+    return geometry_at(ModelParams(0, 1.0), np.array([2.0, 0.0, 0.0, 0.0]))
 
 
 def on_vectors(tensor, *vecs):
@@ -92,7 +93,7 @@ class TestClosedCorrection:
             geom,
             z_rot=np.zeros(geom.d),
             alpha=tuple(np.zeros(geom.d) for _ in range(4)),
-            i_h=geom.i1,
+            i_h=geom.i_mu[1],
         )
         assert_allclose(s_closed_tensor(degenerate), 0.0)
 
@@ -184,7 +185,7 @@ class TestTTensor:
         params = ModelParams(1, 0.5)
         geom = geometry_at(params, random_valid_point(params, rng))
         a, b, c = (rng.standard_normal(8) for _ in range(3))
-        t13 = t_tensor_defining(geom, s_source="closed")
+        t13 = t_from_parts(geom, s_closed_tensor(geom), term_ds_fd(geom, s_source="closed"))
         forward = on_vectors(t13, a, b, c)
         backward = on_vectors(t13, b, a, c)
         assert np.abs(forward + backward).max() < 1e-10 * max(1.0, np.abs(forward).max())
@@ -201,7 +202,7 @@ class TestTTensor:
         term_dzsz = (geom.dz + on_vectors(s, geom.z_rot)) @ c
         w_ab = a @ geom.omega_h @ b
         assembled = term_ds + term_comm - w_ab / geom.f_h * term_dzsz
-        t13 = t_tensor_defining(geom, s_source="closed")
+        t13 = t_from_parts(geom, s, term_ds_fd(geom, s_source="closed"))
         assert_allclose(on_vectors(t13, a, b, c), assembled, atol=1e-10)
 
     def test_lowered_defining_tensor_matches_closed_route(self, rng):
@@ -277,9 +278,6 @@ class TestCurvatureRoutes:
         s = s_closed_tensor(geom)
         gh = geom.g_h
 
-        def metric_field(cs):
-            return deformed_metric(params, Point(cs))
-
-        d_gh = finite_diff_gradient(metric_field, point.coords)
+        d_gh = finite_diff_gradient(lambda cs: deformed_metric(params, cs), point)
         compat = (d_gh - np.einsum("iab,ic->abc", s, gh) - np.einsum("iac,ib->abc", s, gh))
         assert np.abs(compat).max() / max(1.0, np.abs(d_gh).max()) < 1e-5

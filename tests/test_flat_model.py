@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from hkqk.errors import DomainViolation
 from hkqk.flat_model import (
     ModelParams,
-    Point,
     constant_tensors,
     deformed_metric,
     geometry_at,
@@ -35,19 +34,15 @@ class TestParamsAndPoint:
         with pytest.raises(ValueError):
             ModelParams(0, -0.5)
 
-    def test_point_roundtrip(self, rng):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        point = Point.from_complex(z, w)
-        assert_allclose(point.z, z)
-        assert_allclose(point.w, w)
-        assert point.coords.size == 12
-
     def test_point_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            Point(np.zeros(6))
-        with pytest.raises(ValueError):
-            Point.from_complex([1.0, 2.0], [1.0])
+        # a point is a flat vector of d = 4(m+1) finite coordinates, checked in scalars
+        params = ModelParams(0, 1.0)
+        bad = (np.zeros(6), np.zeros(8), np.full((2, 2), 2.0),
+               [2.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0])
+        for coords in bad:
+            for evaluate in (scalars, deformed_metric, geometry_at):
+                with pytest.raises(ValueError):
+                    evaluate(params, coords)
 
 
 class TestConstantTensors:
@@ -58,7 +53,8 @@ class TestConstantTensors:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_quaternion_relation(self, m):
         consts = constant_tensors(ModelParams(m))
-        assert_allclose(consts.i1 @ consts.i2 - consts.i3, 0.0, atol=1e-14)
+        i1, i2, i3 = consts.i_mu[1:]
+        assert_allclose(i1 @ i2 - i3, 0.0, atol=1e-14)
 
     def test_m1_signature(self):
         eigs = np.linalg.eigvalsh(constant_tensors(ModelParams(1)).g)
@@ -66,7 +62,7 @@ class TestConstantTensors:
 
     def test_forms_are_tagged_antisymmetric(self, rng):
         consts = constant_tensors(ModelParams(2))
-        for form in (consts.omega1, consts.omega2, consts.omega3, consts.omega_h):
+        for form in (*consts.omega_mu[1:], consts.omega_h):
             assert np.array_equal(form, -form.T)
         # the metrics are built as a diagonal plus sums of outer products: exactly symmetric
         for m, c in CONFIGS:
@@ -77,23 +73,24 @@ class TestConstantTensors:
 
     def test_corruption_hook_breaks_quaternions(self):
         consts = constant_tensors(ModelParams(1, corrupt_omega2=True))
-        defect = np.abs(consts.i1 @ consts.i2 - consts.i3).max()
+        i1, i2, i3 = consts.i_mu[1:]
+        defect = np.abs(i1 @ i2 - i3).max()
         assert defect > 1.0
 
 
 class TestVectorZ:
     def test_real_axis_point(self):
         params = ModelParams(0)
-        z = vector_z(params, Point.from_complex([2.0], [0.0]))
+        z = vector_z(params, np.array([2.0, 0.0, 0.0, 0.0]))
         assert_allclose(z, [0.0, -2.0, 0.0, 0.0])
 
     def test_linear_in_coordinates(self, rng):
         params = ModelParams(1)
-        assert_allclose(vector_z(params, Point(np.zeros(8))), 0.0)
+        assert_allclose(vector_z(params, np.zeros(8)), 0.0)
         p1 = rng.standard_normal(8)
         p2 = rng.standard_normal(8)
-        lhs = vector_z(params, Point(p1 + p2))
-        rhs = vector_z(params, Point(p1)) + vector_z(params, Point(p2))
+        lhs = vector_z(params, p1 + p2)
+        rhs = vector_z(params, p1) + vector_z(params, p2)
         assert_allclose(lhs, rhs)
 
     def test_field_length_formula(self, rng):
@@ -103,7 +100,8 @@ class TestVectorZ:
         for _ in range(10):
             point = random_valid_point(params, rng)
             z = vector_z(params, point)
-            z_norms = np.abs(point.z) ** 2
+            zc = point[: 2 * params.q]
+            z_norms = zc[0::2] ** 2 + zc[1::2] ** 2
             assert_allclose(z @ consts.g @ z, -(z_norms[0] - z_norms[1:].sum()),
                             rtol=1e-12)
 
@@ -111,34 +109,35 @@ class TestVectorZ:
         params = ModelParams(1)
         consts = constant_tensors(params)
         point = random_valid_point(params, rng)
-        assert_allclose(consts.dz @ point.coords, vector_z(params, point))
+        assert_allclose(consts.dz @ point, vector_z(params, point))
 
 
 class TestScalars:
     def test_reference_point(self):
-        sc = scalars(ModelParams(0, 1.0), Point.from_complex([2.0], [0.0]))
-        assert_allclose([sc.f_z, sc.g_zz, sc.f_h], [1.5, -4.0, -2.5])
+        f_z, f_h, g_zz = scalars(ModelParams(0, 1.0), np.array([2.0, 0.0, 0.0, 0.0]))
+        assert_allclose([f_z, g_zz, f_h], [1.5, -4.0, -2.5])
 
     def test_undeformed_reflection(self, rng):
         params = ModelParams(1, 0.0)
         point = random_valid_point(params, rng)
-        sc = scalars(params, point)
-        assert_allclose(sc.f_h, -sc.f_z, rtol=1e-14)
+        f_z, f_h, _ = scalars(params, point)
+        assert_allclose(f_h, -f_z, rtol=1e-14)
 
     def test_twist_function_identity(self, rng):
         for m, c in CONFIGS:
             params = ModelParams(m, c)
-            sc = scalars(params, random_valid_point(params, rng))
-            assert abs(sc.f_h - (sc.f_z + sc.g_zz)) < 1e-12
+            f_z, f_h, g_zz = scalars(params, random_valid_point(params, rng))
+            assert abs(f_h - (f_z + g_zz)) < 1e-12
 
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
-            scalars(ModelParams(0, 1.0), Point.from_complex([0.5], [3.0]))
+            scalars(ModelParams(0, 1.0), np.array([0.5, 0.0, 3.0, 0.0]))
         # |z|^2 overflows: f_z = inf at m = 0, and inf - inf = nan at m = 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for params, z in ((ModelParams(0), [1e200]), (ModelParams(1), [1e200, 1e200])):
+            for params, coords in ((ModelParams(0), [1e200, 0.0, 0.0, 0.0]),
+                                   (ModelParams(1), [1e200, 0.0, 1e200, 0.0] + [0.0] * 4)):
                 with pytest.raises(DomainViolation, match="finite"):
-                    scalars(params, Point.from_complex(z, np.zeros(len(z))))
+                    scalars(params, np.array(coords))
 
 
 class TestGeometryAt:
@@ -160,7 +159,7 @@ class TestGeometryAt:
             assert_allclose(eigs, expected, rtol=1e-9)
 
     def test_comparison_square_trace_reference(self):
-        geom = geometry_at(ModelParams(0, 1.0), Point.from_complex([2.0], [0.0]))
+        geom = geometry_at(ModelParams(0, 1.0), np.array([2.0, 0.0, 0.0, 0.0]))
         k = geom.k_compare
         assert_allclose(np.trace(k @ k), 3.24, rtol=1e-12)
 
@@ -216,14 +215,14 @@ class TestDifferentialIdentities:
         params = ModelParams(m, c)
         for _ in range(3):
             point = random_valid_point(params, rng)
-            res = verify_differential_identities(params, point)
+            res = verify_differential_identities(geometry_at(params, point))
             for name, value in res.items():
                 tol = 1e-8 if name == "sum_identity" else 1e-6
                 assert value < tol, f"{name} residual {value:.3e} at m={m} c={c}"
 
     def test_reports_every_expected_identity(self, rng):
         params = ModelParams(0, 0.0)
-        res = verify_differential_identities(params, random_valid_point(params, rng))
+        res = verify_differential_identities(geometry_at(params, random_valid_point(params, rng)))
         expected = {
             "d_alpha0_eq_2g_dz", "d_alpha1_eq_lie_omega1", "d_alpha2_eq_lie_omega2",
             "d_alpha3_eq_lie_omega3", "rotating_lie_omega1_zero",
@@ -238,12 +237,12 @@ class TestSampling:
         params = ModelParams(1, 1.0)
         for _ in range(50):
             point = random_valid_point(params, rng, f_z_range=(0.5, 0.6))
-            assert 0.5 <= scalars(params, point).f_z <= 0.6 + 1e-12
+            assert 0.5 <= scalars(params, point)[0] <= 0.6 + 1e-12
 
     def test_point_with_exact_target(self, rng):
         params = ModelParams(2, 0.5)
         point = point_with_f_z(params, 1.25, rng)
-        assert_allclose(scalars(params, point).f_z, 1.25, rtol=1e-12)
+        assert_allclose(scalars(params, point)[0], 1.25, rtol=1e-12)
 
     def test_point_with_invalid_target(self, rng):
         with pytest.raises(DomainViolation):
@@ -253,4 +252,4 @@ class TestSampling:
         params = ModelParams(1, 0.5)
         a = random_valid_point(params, np.random.default_rng(7))
         b = random_valid_point(params, np.random.default_rng(7))
-        assert_allclose(a.coords, b.coords)
+        assert_allclose(a, b)
