@@ -25,6 +25,8 @@ from .pseudo_linear import compose_trace, pseudo_gram_schmidt, quadcov_to_lambda
 K_TRACE_MAX_EXPONENT = 6
 # random unit pairs (A, B) drawn by the commutation check of the remainder
 HK_TRIALS = 50
+# weight of the model tensor in the split of the curvature (reduced scalar curvature)
+SPLIT_NU = -1.0
 
 
 def quadcov_in_frame(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -44,7 +46,7 @@ def curvature_operator(in_frame: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """
     in_frame = 0.5 * (in_frame - in_frame.transpose(1, 0, 2, 3))
     in_frame = 0.5 * (in_frame - in_frame.transpose(0, 1, 3, 2))
-    return quadcov_to_lambda2_op(in_frame, np.diag(signs))
+    return quadcov_to_lambda2_op(in_frame, signs)
 
 
 def curvature_norm_frame(geom: GeometryAt, rtilde: np.ndarray) -> float:
@@ -107,25 +109,16 @@ def k_trace_residuals(geom: GeometryAt) -> dict[str, float]:
     return {"k_trace_closed_vs_matrix_rel": worst_rel, "k_trace_vanishing_abs": worst_vanish}
 
 
-def model_space_part(geom: GeometryAt) -> np.ndarray:
-    """The constant-curvature model tensor of the split:
+def alekseevsky_split(geom: GeometryAt, rtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the curvature as SPLIT_NU * r0 + r1 and return (r0, r1).
 
-    -1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]
+    r0 is the constant-curvature model tensor
+    -1/8 [g_h . g_h + sum_k g_h(I_k.,.) .bar. g_h(I_k.,.)]. The remainder r1,
+    raised to an endomorphism in its first two slots, commutes with each
+    complex structure; see hk_type_residual for the check.
     """
-    return -form_block(geom, geom.g_h, form_owedge, form_obar) / 8.0
-
-
-def alekseevsky_split(geom: GeometryAt,
-                      rtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Split the curvature as nu * (model part) + remainder, with nu = -1.
-
-    The remainder, raised to an endomorphism in its first two slots, commutes
-    with each complex structure; see hk_type_residual for the check.
-    """
-    nu = -1.0
-    r0 = model_space_part(geom)
-    r1 = rtilde - nu * r0
-    return r0, r1, nu
+    r0 = -form_block(geom, geom.g_h, form_owedge, form_obar) / 8.0
+    return r0, rtilde - SPLIT_NU * r0
 
 
 def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator) -> float:
@@ -198,7 +191,7 @@ def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
     scal = scalar_curvature(in_frame, signs)
     q = geom.q
     nu = scal / (4.0 * q * (q + 2))
-    _, r1, _ = alekseevsky_split(geom, rt)
+    _, r1 = alekseevsky_split(geom, rt)
     rng = np.random.default_rng(hk_seed)
     residuals = {
         "norm_frame_vs_closed_rel": abs(frame_norm - closed_norm) / abs(closed_norm),

@@ -41,8 +41,8 @@ class ModelParams:
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 0:
             raise ValueError(f"family index m must be a non-negative integer, got {self.m}")
-        if self.c < 0:
-            raise ValueError(f"deformation constant c must be >= 0, got {self.c}")
+        if not 0 <= self.c < np.inf:
+            raise ValueError(f"deformation constant c must be finite and >= 0, got {self.c}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "c", float(self.c))
 
@@ -63,7 +63,8 @@ class ConstantTensors:
 
     Bilinear forms and endomorphisms alike are d x d matrices in the fixed frame.
     ``omega_mu`` is (g, omega_1, omega_2, omega_3) and ``i_mu`` is
-    (id, I_1, I_2, I_3), both indexed by mu = 0..3.
+    (id, I_1, I_2, I_3), both indexed by mu = 0..3. ``dz`` is the Jacobian of
+    the rotating field and ``i_h`` = I_1 + 2 dz the twist endomorphism.
     """
 
     g: np.ndarray
@@ -71,6 +72,7 @@ class ConstantTensors:
     omega_h: np.ndarray
     i_mu: tuple[np.ndarray, ...]
     dz: np.ndarray
+    i_h: np.ndarray
 
 
 # keyed on the whole of params, c included; bounded so that a loop over many c stays small
@@ -118,17 +120,17 @@ def constant_tensors(params: ModelParams) -> ConstantTensors:
     i2 = -ginv @ o2
     i3 = -ginv @ o3
 
+    ih = i1 + 2.0 * dz
     if not params.corrupt_omega2:
         # derived complex structures must close the quaternion algebra
         eye = np.eye(d)
         for a, b, prod in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2)):
             assert np.abs(a @ b - prod).max() < 1e-14
             assert np.abs(a @ a + eye).max() < 1e-14
-        ih = i1 + 2.0 * dz
         assert np.abs(ih @ ih + eye).max() < 1e-14
 
     return ConstantTensors(g=g, omega_mu=(g, o1, o2, o3), omega_h=oh,
-                           i_mu=(np.eye(d), i1, i2, i3), dz=dz)
+                           i_mu=(np.eye(d), i1, i2, i3), dz=dz, i_h=ih)
 
 
 def vector_z(params: ModelParams, coords: np.ndarray) -> np.ndarray:
@@ -167,16 +169,15 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     return f_z, f_h, -base
 
 
-@dataclass(eq=False)
-class GeometryAt:
+@dataclass(frozen=True, eq=False)
+class GeometryAt(ConstantTensors):
     """Immutable snapshot of every tensor of the model at one point.
 
-    Matrix fields are d x d arrays in the fixed coordinate frame, bilinear
-    forms (g, the omegas, g_h, g_alpha) and endomorphisms (the I's, dz,
-    k_compare) alike. ``coords`` are the d real coordinates of the point.
-    ``omega_mu`` is (g, omega_1, omega_2, omega_3) and ``i_mu`` is
-    (id, I_1, I_2, I_3), indexed by mu = 0..3. ``alpha[mu]`` are the four
-    lowered contractions of the rotating field with ``omega_mu``;
+    Extends the constant tensors with the point-dependent ones. Matrix fields
+    are d x d arrays in the fixed coordinate frame, bilinear forms (g, the
+    omegas, g_h, g_alpha) and endomorphisms (the I's, dz, k_compare) alike.
+    ``coords`` are the d real coordinates of the point. ``alpha[mu]`` are the
+    four lowered contractions of the rotating field with ``omega_mu``;
     ``k_compare`` is the endomorphism carrying g_h back to g, multiplication
     by f_z off the quaternionic span of the rotating field and by f_z^2/f_h
     along it.
@@ -184,12 +185,6 @@ class GeometryAt:
 
     params: ModelParams
     coords: np.ndarray
-    g: np.ndarray
-    omega_mu: tuple[np.ndarray, ...]
-    omega_h: np.ndarray
-    i_mu: tuple[np.ndarray, ...]
-    i_h: np.ndarray
-    dz: np.ndarray
     k_compare: np.ndarray
     z_rot: np.ndarray
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -236,19 +231,13 @@ def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:
     z = vector_z(params, coords)
 
     alpha, g_alpha, g_h = _metric_data(consts, f_z, z)
-    i_h = consts.i_mu[1] + 2.0 * consts.dz
     k = f_z * np.eye(d) - (f_z / f_h) * sum(
         np.outer(i @ z, a) for i, a in zip(consts.i_mu, alpha))
 
     return GeometryAt(
+        **vars(consts),
         params=params,
         coords=coords,
-        g=consts.g,
-        omega_mu=consts.omega_mu,
-        omega_h=consts.omega_h,
-        i_mu=consts.i_mu,
-        i_h=i_h,
-        dz=consts.dz,
         k_compare=k,
         z_rot=z,
         alpha=alpha,

@@ -3,8 +3,9 @@
 The first product rearranges a rank-4 tensor so that, fed with two symmetric
 bilinear forms, it yields an algebraic curvature tensor. The second adds the
 correction terms needed to do the same for a pair of two-forms. Both are
-lifted to endomorphisms by lowering with a metric, and the closed-form trace
-identities for compositions of such operators are provided alongside.
+lifted to operators on the exterior square of an orthonormal frame, and the
+closed-form trace identities for compositions of such operators are provided
+alongside.
 """
 
 from __future__ import annotations
@@ -23,25 +24,21 @@ def kn_owedge(p: np.ndarray) -> np.ndarray:
             + np.einsum("bxac->abcx", p) - np.einsum("bcax->abcx", p))
 
 
-def kn_obar(p: np.ndarray) -> np.ndarray:
-    """Second product: out = first product + 2 P(A,B,C,X) + 2 P(C,X,A,B).
-
-    Requires the input to be antisymmetric in both index pairs
-    (``require_pair_antisymmetry``); on the outer product of two two-forms the
-    result is an algebraic curvature tensor.
-    """
-    require_pair_antisymmetry(p)
-    return kn_owedge(p) + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p)
-
-
 def form_owedge(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """First product of two (0,2)-tensors, via their outer product."""
     return kn_owedge(np.einsum("ab,cx->abcx", alpha, beta))
 
 
 def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Second product of two two-forms, via their outer product."""
-    return kn_obar(np.einsum("ab,cx->abcx", alpha, beta))
+    """Second product of two two-forms: the first product of their outer product
+    P plus 2 P(A,B,C,X) + 2 P(C,X,A,B), an algebraic curvature tensor.
+
+    Requires P to be antisymmetric in both index pairs
+    (``require_pair_antisymmetry``).
+    """
+    p = np.einsum("ab,cx->abcx", alpha, beta)
+    require_pair_antisymmetry(p)
+    return kn_owedge(p) + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p)
 
 
 def self_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
@@ -56,20 +53,28 @@ def skew_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
     return float(np.abs(low + low.T).max())
 
 
-def endo_owedge(e: np.ndarray, f: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Operator form of the first product: lower both endomorphisms, apply it, raise on wedges."""
-    lowered = np.einsum("ab,cx->abcx", e.T @ metric, f.T @ metric)
-    return quadcov_to_lambda2_op(kn_owedge(lowered), metric)
+def _require_adjoint(name: str, endo: np.ndarray, metric: np.ndarray, skew: bool) -> None:
+    """Raise unless ``endo`` is metric-skew (or metric-self-adjoint) within ADJOINT_TOL."""
+    defect = (skew_adjoint_defect if skew else self_adjoint_defect)(endo, metric)
+    if defect > ADJOINT_TOL:
+        kind = "skew-adjointness" if skew else "self-adjointness"
+        raise AdjointnessViolated(f"{name} fails {kind} by {defect:.2e}")
 
 
-def endo_obar(k: np.ndarray, l: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Operator form of the second product for two metric-skew endomorphisms."""
-    for name, endo in (("first", k), ("second", l)):
-        defect = skew_adjoint_defect(endo, metric)
-        if defect > ADJOINT_TOL:
-            raise AdjointnessViolated(f"{name} argument fails skew-adjointness by {defect:.2e}")
-    lowered = np.einsum("ab,cx->abcx", k.T @ metric, l.T @ metric)
-    return quadcov_to_lambda2_op(kn_obar(lowered), metric)
+def endo_owedge(e: np.ndarray, f: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Operator form of the first product on an orthonormal frame with the given signs.
+
+    Both endomorphisms are lowered with diag(signs), multiplied, and raised on wedges.
+    """
+    return quadcov_to_lambda2_op(form_owedge(e.T * signs, f.T * signs), signs)
+
+
+def endo_obar(k: np.ndarray, l: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Operator form of the second product for two skew endomorphisms, as endo_owedge."""
+    metric = np.diag(signs)
+    _require_adjoint("first argument", k, metric, skew=True)
+    _require_adjoint("second argument", l, metric, skew=True)
+    return quadcov_to_lambda2_op(form_obar(k.T * signs, l.T * signs), signs)
 
 
 def owedge_pair_trace(e: np.ndarray, f: np.ndarray) -> float:
@@ -87,10 +92,8 @@ def obar_pair_trace(k: np.ndarray, l: np.ndarray, metric: np.ndarray) -> float:
 
     Requires K and L to be metric-skew.
     """
-    for name, endo in (("K", k), ("L", l)):
-        defect = skew_adjoint_defect(endo, metric)
-        if defect > ADJOINT_TOL:
-            raise AdjointnessViolated(f"{name} fails skew-adjointness by {defect:.2e}")
+    _require_adjoint("K", k, metric, skew=True)
+    _require_adjoint("L", l, metric, skew=True)
     kl = k @ l
     t = float(np.trace(kl))
     return 6.0 * t * t + 6.0 * float(np.trace(kl @ kl))
@@ -101,12 +104,8 @@ def mixed_pair_trace(e: np.ndarray, k: np.ndarray, metric: np.ndarray) -> float:
 
     Requires E metric-self-adjoint and K metric-skew.
     """
-    defect = self_adjoint_defect(e, metric)
-    if defect > ADJOINT_TOL:
-        raise AdjointnessViolated(f"E fails self-adjointness by {defect:.2e}")
-    defect = skew_adjoint_defect(k, metric)
-    if defect > ADJOINT_TOL:
-        raise AdjointnessViolated(f"K fails skew-adjointness by {defect:.2e}")
+    _require_adjoint("E", e, metric, skew=False)
+    _require_adjoint("K", k, metric, skew=True)
     ek = e @ k
     t = float(np.trace(ek))
     return 2.0 * t * t - 6.0 * float(np.trace(ek @ ek))

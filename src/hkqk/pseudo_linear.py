@@ -17,8 +17,6 @@ from .errors import DegenerateMetric, PairAntisymmetryViolated
 
 DEFAULT_FD_STEP = 1e-5
 PIVOT_TOL = 1e-10
-# quadcov_to_lambda2_op refuses a metric whose smallest/largest singular value is at most this
-NONDEGENERATE_RTOL = 1e-12
 # allowed pair-antisymmetry defect of a rank-4 input, relative to its magnitude floored at 1
 PAIR_ANTISYMMETRY_TOL = 1e-10
 
@@ -26,13 +24,6 @@ PAIR_ANTISYMMETRY_TOL = 1e-10
 def compose_trace(a: np.ndarray, b: np.ndarray) -> float:
     """Trace of the composition of two operators on the same space."""
     return float(np.einsum("ij,ji->", a, b))
-
-
-def lambda2_gram(B: np.ndarray) -> np.ndarray:
-    """Induced inner product <A^B, C^X> = B(A,C)B(B,X) - B(A,X)B(B,C) on pairs."""
-    ii, jj = np.triu_indices(B.shape[0], 1)
-    return (B[np.ix_(ii, ii)] * B[np.ix_(jj, jj)]
-            - B[np.ix_(ii, jj)] * B[np.ix_(jj, ii)])
 
 
 def pseudo_gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,23 +74,20 @@ def require_pair_antisymmetry(arr: np.ndarray) -> None:
                                        f"{PAIR_ANTISYMMETRY_TOL:.2e} * scale {scale:.2e}")
 
 
-def quadcov_to_lambda2_op(tensor: np.ndarray, metric: np.ndarray) -> np.ndarray:
+def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Operator M on the exterior square with <M(A^B), C^X> = T(A, B, C, X).
 
-    The matrix acts on the basis e_a ^ e_b ordered lexicographically over
-    pairs (a, b) with a < b, so its size is D = d(d-1)/2. The inner product on
-    wedges is the one induced by ``metric``; the rank-4 input must be
+    ``tensor`` holds components on an orthonormal frame with the given
+    ``signs`` (each +/-1), in which the induced inner product on wedges is
+    diagonal: <e_a ^ e_b, e_a ^ e_b> = signs[a] * signs[b]. The matrix acts on
+    the basis e_a ^ e_b ordered lexicographically over pairs (a, b) with
+    a < b, so its size is D = d(d-1)/2. The rank-4 input must be
     antisymmetric in both index pairs (``require_pair_antisymmetry``).
     """
     require_pair_antisymmetry(tensor)
-    sv = np.linalg.svd(metric, compute_uv=False)
-    if sv[-1] <= NONDEGENERATE_RTOL * sv[0]:
-        raise DegenerateMetric("metric is numerically singular "
-                               f"(smallest/largest singular value = {sv[-1] / sv[0]:.2e})")
     ii, jj = np.triu_indices(tensor.shape[0], 1)
     T2 = tensor[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
-    G2 = lambda2_gram(metric)
-    return np.linalg.solve(G2, T2.T)
+    return (signs[ii] * signs[jj])[:, None] * T2.T
 
 
 def finite_diff(field: Callable[[np.ndarray], np.ndarray | float], coords: np.ndarray,

@@ -144,7 +144,7 @@ def test_criterion_7_remainder_commutes():
             params = fm.ModelParams(m, c)
             for point in seeded_points(params, 3, 7):
                 geom = fm.geometry_at(params, point)
-                _, r1, _ = curv.alekseevsky_split(geom, corr.rtilde_closed(geom))
+                _, r1 = curv.alekseevsky_split(geom, corr.rtilde_closed(geom))
                 worst = max(worst, curv.hk_type_residual(geom, r1, rng))
     report(7, "curvature remainder commutes with the complex structures", worst, 1e-8)
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from hkqk.correspondence import rtilde_closed
 from hkqk.curvature import (
+    SPLIT_NU,
     alekseevsky_split,
     curvature_norm_closed,
     curvature_norm_frame,
@@ -13,7 +14,6 @@ from hkqk.curvature import (
     hk_type_residual,
     invariance_residual,
     k_trace_residuals,
-    model_space_part,
     norm_report,
     quadcov_in_frame,
     scalar_curvature,
@@ -122,26 +122,27 @@ class TestComparisonTraces:
 
 class TestSplit:
     def test_nu_is_minus_one(self, rng):
-        geom = geometry(1, 0.5, rng)
-        _, _, nu = alekseevsky_split(geom, rtilde_closed(geom))
-        assert nu == -1.0
+        # the split weight is the reduced scalar curvature, which norm_report measures
+        assert SPLIT_NU == -1.0
+        assert_allclose(norm_report(geometry(1, 0.5, rng)).nu, SPLIT_NU, rtol=1e-8)
 
     def test_split_reassembles(self, rng):
         geom = geometry(2, 1.0, rng)
         rt = rtilde_closed(geom)
-        r0, r1, nu = alekseevsky_split(geom, rt)
-        assert_allclose(nu * r0 + r1, rt, atol=1e-12 * max(1.0, np.abs(rt).max()))
+        r0, r1 = alekseevsky_split(geom, rt)
+        assert_allclose(SPLIT_NU * r0 + r1, rt, atol=1e-12 * max(1.0, np.abs(rt).max()))
 
     def test_remainder_commutes_with_complex_structures(self, rng):
         for m, c in ((0, 1.0), (1, 0.0), (2, 0.5)):
             geom = geometry(m, c, rng)
-            _, r1, _ = alekseevsky_split(geom, rtilde_closed(geom))
+            _, r1 = alekseevsky_split(geom, rtilde_closed(geom))
             assert hk_type_residual(geom, r1, rng) < 1e-8
 
     def test_model_part_alone_fails_commutation_check(self, rng):
         # negative control: the model-space block is not of the remainder type
         geom = geometry(1, 0.0, rng)
-        assert hk_type_residual(geom, model_space_part(geom), rng) > 1e-3
+        r0 = alekseevsky_split(geom, rtilde_closed(geom))[0]
+        assert hk_type_residual(geom, r0, rng) > 1e-3
 
     def test_invariance_of_twist_form_block(self, rng):
         for m, c in ((0, 0.0), (1, 1.0), (3, 0.5)):
@@ -152,7 +153,7 @@ class TestSplit:
         # the undeformed q = 2 member is symmetric but not of constant quaternionic
         # curvature: the remainder is nonzero, with frozen frame Frobenius norm 6 sqrt(2)
         geom = geometry(1, 0.0, rng)
-        _, r1, _ = alekseevsky_split(geom, rtilde_closed(geom))
+        _, r1 = alekseevsky_split(geom, rtilde_closed(geom))
         fro = float(np.sqrt((in_frame(geom, r1)[0] ** 2).sum()))
         assert fro > 1e-3
         assert_allclose(fro, 8.485281374238571, rtol=1e-9)

@@ -31,8 +31,9 @@ class TestParamsAndPoint:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(-1, 0.0)
-        with pytest.raises(ValueError):
-            ModelParams(0, -0.5)
+        for c in (-0.5, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deformation constant"):
+                ModelParams(0, c)
 
     def test_point_rejects_bad_shapes(self):
         # a point is a flat vector of d = 4(m+1) finite coordinates, checked in scalars
