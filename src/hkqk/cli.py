@@ -14,6 +14,8 @@ pass, 1 a check or domain constraint failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -201,22 +203,10 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     return res, rt_closed
 
 
-def _curvature_residuals(geom: fm.GeometryAt, rt_closed, point_seed: int) -> dict[str, float]:
-    report = curv.norm_report(geom, rt_closed, hk_seed=point_seed)
-    op = report.operator
-    self_adjoint = float(np.abs(op - op.T).max() / max(1.0, np.abs(op).max()))
-    return {"curvature_operator_self_adjoint": self_adjoint,
-            **report.residuals,
-            **curv.k_trace_residuals(geom)}
-
-
-def _random_adjoint_pairs(signs: np.ndarray, rng: np.random.Generator):
-    d = signs.size
-    sym = rng.standard_normal((d, d))
-    sym = sym + sym.T
-    anti = rng.standard_normal((d, d))
-    anti = anti - anti.T
-    return signs[:, None] * sym, signs[:, None] * anti
+def _random_form(rng: np.random.Generator, d: int, sign: float) -> np.ndarray:
+    """A random d x d matrix plus ``sign`` times its transpose: symmetric for +1, skew for -1."""
+    a = rng.standard_normal((d, d))
+    return a + sign * a.T
 
 
 def _kulkarni_residuals(config: RunConfig) -> dict[str, float]:
@@ -227,20 +217,12 @@ def _kulkarni_residuals(config: RunConfig) -> dict[str, float]:
 
     for _ in range(config.samples):
         d = int(rng.choice([4, 6, 8]))
-        sym = rng.standard_normal((d, d))
-        sym = sym + sym.T
-        beta = rng.standard_normal((d, d))
-        beta = beta + beta.T
-        owedge = kn.form_owedge(sym, beta)
-        res["kn_owedge_curvature_symmetries"] = max(
-            res["kn_owedge_curvature_symmetries"],
-            max(_curvature_type_defects(owedge)) / max(1.0, np.abs(owedge).max()))
-        two_form = rng.standard_normal((d, d))
-        two_form = two_form - two_form.T
-        obar = kn.form_obar(two_form, two_form)
-        res["kn_obar_curvature_symmetries"] = max(
-            res["kn_obar_curvature_symmetries"],
-            max(_curvature_type_defects(obar)) / max(1.0, np.abs(obar).max()))
+        owedge = kn.form_owedge(_random_form(rng, d, 1.0), _random_form(rng, d, 1.0))
+        two_form = _random_form(rng, d, -1.0)
+        for name, arr in (("kn_owedge_curvature_symmetries", owedge),
+                          ("kn_obar_curvature_symmetries", kn.form_obar(two_form, two_form))):
+            res[name] = max(res[name],
+                            max(_curvature_type_defects(arr)) / max(1.0, np.abs(arr).max()))
 
     for d in (4, 8, 12):
         for signature in ("euclidean", "split"):
@@ -249,8 +231,9 @@ def _kulkarni_residuals(config: RunConfig) -> dict[str, float]:
                 diag[:4] = -1.0
             metric = np.diag(diag)
             for _ in range(config.samples):
-                e, k = _random_adjoint_pairs(diag, rng)
-                f, l = _random_adjoint_pairs(diag, rng)
+                # raised with the diagonal metric: e, f metric-self-adjoint and k, l metric-skew
+                e, k, f, l = (diag[:, None] * _random_form(rng, d, sign)
+                              for sign in (1.0, -1.0, 1.0, -1.0))
                 op_e = kn.endo_owedge(e, e, diag)
                 op_f = kn.endo_owedge(f, f, diag)
                 op_k = kn.endo_obar(k, k, diag)
@@ -320,7 +303,10 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         fold(fm.verify_differential_identities(geom, step=config.fd_step), 1)
         corr_res, rt_closed = _correspondence_residuals(config, geom)
         fold(corr_res, 1)
-        fold(_curvature_residuals(geom, rt_closed, derived_seed(config.seed, index)), 1)
+        report, op = curv.norm_report(geom, rt_closed, hk_seed=derived_seed(config.seed, index))
+        fold({"curvature_operator_self_adjoint":
+              float(np.abs(op - op.T).max() / max(1.0, np.abs(op).max())),
+              **report["residuals"], **curv.k_trace_residuals(geom)}, 1)
 
     fold(_kulkarni_residuals(config), config.samples)
     fold(_profile_residuals(config), config.samples)
@@ -376,19 +362,14 @@ def to_json(obj, indent: int = 0) -> str:
     return f'"{escaped}"'
 
 
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def results_to_csv(results: list[CheckResult]) -> str:
-    lines = ["name,anchor,max_residual,tolerance,passed,points"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "anchor", "max_residual", "tolerance", "passed", "points"])
     for r in results:
-        lines.append(",".join([
-            r.name, _csv_quote(r.anchor), format_float(r.max_residual),
-            format_float(r.tolerance), "true" if r.passed else "false", str(r.points)]))
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.name, r.anchor, format_float(r.max_residual),
+                         format_float(r.tolerance), "true" if r.passed else "false", r.points])
+    return buf.getvalue()
 
 
 def config_dict(config: RunConfig) -> dict:
@@ -449,27 +430,21 @@ def _select_point(config: RunConfig, text: str | None) -> np.ndarray:
     return coords
 
 
-def cmd_norm(config: RunConfig, point_text: str | None) -> int:
-    params = config.params
+def _point_command(config: RunConfig, point_text: str | None, report_fn) -> int:
+    """Emit ``report_fn(config, geom)`` at the selected point; a point off the domain exits 1."""
     coords = _select_point(config, point_text)
     try:
-        geom = fm.geometry_at(params, coords)
-        report = curv.norm_report(geom, hk_seed=derived_seed(config.seed, 0))
+        report = report_fn(config, fm.geometry_at(config.params, coords))
     except DomainViolation as exc:
         print(f"point outside the valid domain: {exc}", file=sys.stderr)
         return 1
-    payload = {
-        "config": config_dict(config),
-        "point": list(coords),
-        "report": {
-            "f_z": report.f_z, "f_h": report.f_h, "rho": report.rho,
-            "norm_frame": report.norm_frame, "norm_closed": report.norm_closed,
-            "scal": report.scal, "nu": report.nu,
-            "residuals": report.residuals,
-        },
-    }
+    payload = {"config": config_dict(config), "point": list(coords), "report": report}
     _emit(to_json(payload) + "\n", config.out)
     return 0
+
+
+def _norm_report(config: RunConfig, geom: fm.GeometryAt) -> dict:
+    return curv.norm_report(geom, hk_seed=derived_seed(config.seed, 0))[0]
 
 
 def cmd_sweep(config: RunConfig, rho_min: float, rho_max: float, steps: int) -> int:
@@ -511,35 +486,21 @@ def cmd_sweep(config: RunConfig, rho_min: float, rho_max: float, steps: int) -> 
     return 0
 
 
-def cmd_decompose(config: RunConfig, point_text: str | None) -> int:
-    params = config.params
-    coords = _select_point(config, point_text)
-    try:
-        geom = fm.geometry_at(params, coords)
-    except DomainViolation as exc:
-        print(f"point outside the valid domain: {exc}", file=sys.stderr)
-        return 1
+def _decompose_report(config: RunConfig, geom: fm.GeometryAt) -> dict:
     rt = corr.rtilde_closed(geom)
     r0, r1 = curv.alekseevsky_split(geom, rt)
     vectors, _ = pseudo_gram_schmidt(geom.g_h)
     r0_frame = curv.quadcov_in_frame(r0, vectors)
     r1_frame = curv.quadcov_in_frame(r1, vectors)
     rng = np.random.default_rng(derived_seed(config.seed, 0))
-    commutator = curv.hk_type_residual(geom, r1, rng)
-    payload = {
-        "config": config_dict(config),
-        "point": list(coords),
-        "report": {
-            "nu": curv.SPLIT_NU,
-            "f_z": geom.f_z,
-            "f_h": geom.f_h,
-            "model_part_frobenius": float(np.sqrt(np.sum(r0_frame ** 2))),
-            "remainder_frobenius": float(np.sqrt(np.sum(r1_frame ** 2))),
-            "hk_type_commutator": commutator,
-        },
+    return {
+        "nu": curv.SPLIT_NU,
+        "f_z": geom.f_z,
+        "f_h": geom.f_h,
+        "model_part_frobenius": float(np.sqrt(np.sum(r0_frame ** 2))),
+        "remainder_frobenius": float(np.sqrt(np.sum(r1_frame ** 2))),
+        "hk_type_commutator": curv.hk_type_residual(geom, r1, rng),
     }
-    _emit(to_json(payload) + "\n", config.out)
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -626,11 +587,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "norm":
-            return cmd_norm(config, args.point)
+            return _point_command(config, args.point, _norm_report)
         if args.command == "sweep":
             return cmd_sweep(config, args.rho_min, args.rho_max, args.steps)
         if args.command == "decompose":
-            return cmd_decompose(config, args.point)
+            return _point_command(config, args.point, _decompose_report)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

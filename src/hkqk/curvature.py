@@ -11,8 +11,6 @@ structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .correspondence import form_block, rtilde_closed
@@ -128,7 +126,7 @@ def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator)
     endomorphism with the deformed metric, and returns max over trials and k
     of |[r1(A,B), I_k]| entries.
     """
-    gh_inv = geom.gh_inv
+    gh_inv = np.linalg.inv(geom.g_h)
     worst = 0.0
     for _ in range(HK_TRIALS):
         a = rng.standard_normal(geom.d)
@@ -164,24 +162,13 @@ def scalar_curvature(in_frame: np.ndarray, signs: np.ndarray) -> float:
     return float(np.einsum("b,bb->", signs, ricci))
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Curvature-norm summary at one point, its cross-check residuals and curvature operator."""
-
-    f_z: float
-    f_h: float
-    rho: float
-    norm_frame: float
-    norm_closed: float
-    scal: float
-    nu: float
-    residuals: dict[str, float]
-    operator: np.ndarray
-
-
 def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
-                *, hk_seed: int = 0) -> NormReport:
-    """Evaluate both norm routes, the scalar curvature (on the same frame), and the split checks."""
+                *, hk_seed: int = 0) -> tuple[dict, np.ndarray]:
+    """Evaluate both norm routes, the scalar curvature (on the same frame), and the split checks.
+
+    Returns the report that ``hkqk norm`` prints, with its cross-check residuals,
+    and the curvature operator.
+    """
     rt = rtilde if rtilde is not None else rtilde_closed(geom)
     vectors, signs = pseudo_gram_schmidt(geom.g_h)
     in_frame = quadcov_in_frame(rt, vectors)
@@ -190,7 +177,6 @@ def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
     closed_norm = curvature_norm_closed(geom.q, geom.f_z, geom.f_h)
     scal = scalar_curvature(in_frame, signs)
     q = geom.q
-    nu = scal / (4.0 * q * (q + 2))
     _, r1 = alekseevsky_split(geom, rt)
     rng = np.random.default_rng(hk_seed)
     residuals = {
@@ -199,14 +185,8 @@ def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
         "hk_type_commutator": hk_type_residual(geom, r1, rng),
         "split_invariance": invariance_residual(geom),
     }
-    return NormReport(
-        f_z=geom.f_z,
-        f_h=geom.f_h,
-        rho=2.0 * geom.f_z,
-        norm_frame=frame_norm,
-        norm_closed=closed_norm,
-        scal=scal,
-        nu=nu,
-        residuals=residuals,
-        operator=op,
-    )
+    report = {"f_z": geom.f_z, "f_h": geom.f_h, "rho": 2.0 * geom.f_z,
+              "norm_frame": frame_norm, "norm_closed": closed_norm,
+              "scal": scal, "nu": scal / (4.0 * q * (q + 2)),
+              "residuals": residuals}
+    return report, op

@@ -14,8 +14,9 @@ the twist two-form, and it verifies the differential identities relating them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,8 +163,13 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     base = z2[0] - z2[1:].sum()
     f_z = 0.5 * base - 0.5 * params.c
     f_h = -0.5 * base - 0.5 * params.c
-    if not (np.isfinite(f_z) and np.isfinite(f_h)):
-        raise DomainViolation(f"f_z = {f_z:.3e} and f_h = {f_h:.3e} must be finite")
+    # 8 f_h^2 is the largest product the formulas form, since |f_h| = f_z + c >= f_z. In
+    # Python floats it overflows to inf without a RuntimeWarning, and unlike np.errstate
+    # it costs nothing on the hot path.
+    h = float(f_h)
+    if not math.isfinite(8.0 * h * h):
+        raise DomainViolation(f"f_z = {f_z:.3e} and f_h = {f_h:.3e} are out of range: "
+                              f"8 f_h^2 is not finite")
     if f_z <= DOMAIN_EPS:
         raise DomainViolation(f"f_z = {f_z:.3e} is not positive (threshold {DOMAIN_EPS:.0e})")
     return f_z, f_h, -base
@@ -201,10 +207,6 @@ class GeometryAt(ConstantTensors):
     @property
     def q(self) -> int:
         return self.params.q
-
-    @cached_property
-    def gh_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g_h)
 
 
 def _metric_data(consts: ConstantTensors, f_z: float, z: np.ndarray):
@@ -287,13 +289,13 @@ def verify_differential_identities(geom: GeometryAt,
     omega = geom.omega_mu
     i_mats = geom.i_mu
 
-    def exterior_d_alpha(mu):
-        """d alpha_mu by finite differences: dA[a,b] = d_a A_b - d_b A_a."""
-        grad = finite_diff_gradient(lambda c: g @ (i_mats[mu] @ vector_z(params, c)),
-                                    coords, step=step)
-        return grad - grad.T
+    def alphas(c):
+        z = vector_z(params, c)
+        return [g @ (i_mu @ z) for i_mu in i_mats]
 
-    d_alpha = [exterior_d_alpha(mu) for mu in range(4)]
+    # d alpha_mu by finite differences: dA[a,b] = d_a A_b - d_b A_a
+    grad = finite_diff_gradient(alphas, coords, step=step)
+    d_alpha = [grad[:, mu] - grad[:, mu].T for mu in range(4)]
 
     res: dict[str, float] = {}
     res["d_alpha0_eq_2g_dz"] = float(np.abs(d_alpha[0] - 2.0 * dz.T @ g).max())
@@ -304,11 +306,10 @@ def verify_differential_identities(geom: GeometryAt,
     res["rotating_lie_omega2_eq_omega3"] = float(np.abs(d_alpha[2] - omega[3]).max())
     res["rotating_lie_omega3_eq_minus_omega2"] = float(np.abs(d_alpha[3] + omega[2]).max())
 
-    grad_fz = finite_diff_gradient(lambda c: scalars(params, c)[0], coords, step=step)
-    grad_fh = finite_diff_gradient(lambda c: scalars(params, c)[1], coords, step=step)
-    res["moment_map_f_z"] = float(np.abs(geom.alpha[1] + grad_fz).max())
+    grad_f = finite_diff_gradient(lambda c: scalars(params, c)[:2], coords, step=step)
+    res["moment_map_f_z"] = float(np.abs(geom.alpha[1] + grad_f[:, 0]).max())
     alpha_h = geom.g @ (geom.i_h @ geom.z_rot)
-    res["moment_map_f_h"] = float(np.abs(alpha_h + grad_fh).max())
+    res["moment_map_f_h"] = float(np.abs(alpha_h + grad_f[:, 1]).max())
     res["twist_form_from_omega1"] = float(np.abs(geom.omega_h - omega[1] - d_alpha[0]).max())
 
     res["sum_identity"] = sum_identity_residual(geom)

@@ -41,21 +41,18 @@ def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return kn_owedge(p) + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p)
 
 
-def self_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
-    """Max-norm of B(Ex, y) - B(x, Ey); zero for metric-self-adjoint E."""
-    low = metric @ endo
-    return float(np.abs(low - low.T).max())
+def adjoint_defect(endo: np.ndarray, metric: np.ndarray, *, skew: bool) -> float:
+    """Max-norm of B(Ex, y) + B(x, Ey) if ``skew``, else of B(Ex, y) - B(x, Ey).
 
-
-def skew_adjoint_defect(endo: np.ndarray, metric: np.ndarray) -> float:
-    """Max-norm of B(Ex, y) + B(x, Ey); zero for metric-skew E."""
+    Zero for metric-skew E if ``skew``, for metric-self-adjoint E otherwise.
+    """
     low = metric @ endo
-    return float(np.abs(low + low.T).max())
+    return float(np.abs(low + low.T if skew else low - low.T).max())
 
 
 def _require_adjoint(name: str, endo: np.ndarray, metric: np.ndarray, skew: bool) -> None:
     """Raise unless ``endo`` is metric-skew (or metric-self-adjoint) within ADJOINT_TOL."""
-    defect = (skew_adjoint_defect if skew else self_adjoint_defect)(endo, metric)
+    defect = adjoint_defect(endo, metric, skew=skew)
     if defect > ADJOINT_TOL:
         kind = "skew-adjointness" if skew else "self-adjointness"
         raise AdjointnessViolated(f"{name} fails {kind} by {defect:.2e}")

@@ -90,35 +90,32 @@ def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return (signs[ii] * signs[jj])[:, None] * T2.T
 
 
-def finite_diff(field: Callable[[np.ndarray], np.ndarray | float], coords: np.ndarray,
-                direction: int, *, step: float = DEFAULT_FD_STEP, order: int = 2):
-    """Central difference of a field along one coordinate.
+def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
+                         coords: np.ndarray, *, step: float = DEFAULT_FD_STEP,
+                         order: int = 2) -> np.ndarray:
+    """Central differences of a field along every coordinate; the derivative index is axis 0.
 
-    The step is scaled per coordinate, h = step * max(1, |coords[direction]|).
+    The step is scaled per coordinate, h = step * max(1, |coords[k]|).
     The default is the two-point second-order stencil
     (field(p + h e) - field(p - h e)) / (2 h); order=4 selects the five-point
     stencil for fields whose higher derivatives blow up near the domain edge.
     Domain errors raised by ``field`` at the sample points propagate unchanged.
     """
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order}")
     coords = np.asarray(coords, dtype=float)
-    h = step * max(1.0, abs(coords[direction]))
 
-    def at(offset):
+    def at(k, offset):
         shifted = coords.copy()
-        shifted[direction] += offset
+        shifted[k] += offset
         return np.asarray(field(shifted), dtype=float)
 
-    if order == 2:
-        return (at(h) - at(-h)) / (2.0 * h)
-    if order == 4:
-        return (-at(2 * h) + 8.0 * at(h) - 8.0 * at(-h) + at(-2 * h)) / (12.0 * h)
-    raise ValueError(f"stencil order must be 2 or 4, got {order}")
-
-
-def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
-                         coords: np.ndarray, *, step: float = DEFAULT_FD_STEP,
-                         order: int = 2) -> np.ndarray:
-    """Stack of finite_diff along every coordinate; the derivative index is axis 0."""
-    coords = np.asarray(coords, dtype=float)
-    return np.stack([finite_diff(field, coords, k, step=step, order=order)
-                     for k in range(coords.size)])
+    rows = []
+    for k in range(coords.size):
+        h = step * max(1.0, abs(coords[k]))
+        if order == 2:
+            rows.append((at(k, h) - at(k, -h)) / (2.0 * h))
+        else:
+            rows.append((-at(k, 2 * h) + 8.0 * at(k, h) - 8.0 * at(k, -h) + at(k, -2 * h))
+                        / (12.0 * h))
+    return np.stack(rows)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -191,6 +192,18 @@ class TestNorm:
         with np.errstate(over="ignore"):
             assert main(["norm", "--m", "0", "--point", "1e200,0,0,0"]) == 1
         assert "point outside the valid domain" in capsys.readouterr().err
+
+    def test_overflowing_point_refused_without_warnings(self, capsys):
+        # f_z = 5e199 is finite, but the products the formulas form overflow
+        for command in ("norm", "decompose"):
+            for point in ("1e100,0,0,0", "1e150,0,0,0"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main([command, "--m", "0", "--point", point]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "point outside the valid domain" in captured.err
+                assert "f_z" in captured.err and "f_h" in captured.err
 
     def test_wrong_point_length(self):
         assert main(["norm", "--m", "1", "--point", "1,0,0,0"]) == 2

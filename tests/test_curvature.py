@@ -124,7 +124,7 @@ class TestSplit:
     def test_nu_is_minus_one(self, rng):
         # the split weight is the reduced scalar curvature, which norm_report measures
         assert SPLIT_NU == -1.0
-        assert_allclose(norm_report(geometry(1, 0.5, rng)).nu, SPLIT_NU, rtol=1e-8)
+        assert_allclose(norm_report(geometry(1, 0.5, rng))[0]["nu"], SPLIT_NU, rtol=1e-8)
 
     def test_split_reassembles(self, rng):
         geom = geometry(2, 1.0, rng)
@@ -178,11 +178,15 @@ class TestScalarCurvature:
 class TestNormReport:
     def test_report_fields_and_residuals(self, rng):
         geom = geometry(1, 0.5, rng)
-        report = norm_report(geom)
-        assert_allclose(report.rho, 2.0 * geom.f_z)
-        assert_allclose(report.nu, -1.0, rtol=1e-8)
-        assert report.norm_frame >= 0.0
-        assert report.residuals["norm_frame_vs_closed_rel"] < 1e-8
-        assert report.residuals["scal_vs_expected_rel"] < 1e-8
-        assert report.residuals["hk_type_commutator"] < 1e-8
-        assert report.residuals["split_invariance"] < 1e-10
+        report, op = norm_report(geom)
+        # the keys and their order are those of the report that `hkqk norm` prints
+        assert list(report) == ["f_z", "f_h", "rho", "norm_frame", "norm_closed", "scal", "nu",
+                                "residuals"]
+        assert op.shape == (28, 28)
+        assert_allclose(report["rho"], 2.0 * geom.f_z)
+        assert_allclose(report["nu"], -1.0, rtol=1e-8)
+        assert report["norm_frame"] >= 0.0
+        assert report["residuals"]["norm_frame_vs_closed_rel"] < 1e-8
+        assert report["residuals"]["scal_vs_expected_rel"] < 1e-8
+        assert report["residuals"]["hk_type_commutator"] < 1e-8
+        assert report["residuals"]["split_invariance"] < 1e-10

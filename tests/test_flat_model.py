@@ -139,6 +139,9 @@ class TestScalars:
                                    (ModelParams(1), [1e200, 0.0, 1e200, 0.0] + [0.0] * 4)):
                 with pytest.raises(DomainViolation, match="finite"):
                     scalars(params, np.array(coords))
+        # f_z = 5e199 is finite but 8 f_h^2 is not: refused without a RuntimeWarning
+        with pytest.raises(DomainViolation, match="finite"):
+            scalars(ModelParams(0), np.array([1e100, 0.0, 0.0, 0.0]))
 
 
 class TestGeometryAt:

@@ -35,6 +35,12 @@ CASES = [
     "sweep --m 3 --c 0.5 --rho-min 0.2 --rho-max 5 --steps 3",
     "verify --samples 0",
     "norm --m 0 --point 2,0,0",
+    "norm --m 0 --point 0.0001,0,0,0",
+    "decompose --m 0 --point 0.0001,0,0,0",
+    "decompose --m 0 --point 2,0,0,0",
+    "verify --m 1 --c 0 --samples 2 --fd-step 2e-5 --tol-override moment_map_f_z=1e-30",
+    "sweep --m 1 --c 0 --rho-min 0.5 --rho-max 3 --steps 3",
+    "verify --m 0 --c 0.5 --samples 1 --format csv",
 ]
 
 

@@ -7,10 +7,9 @@ from numpy.testing import assert_allclose
 from conftest import random_spd_form, signature_form
 from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViolated
 from hkqk.flat_model import ModelParams, deformed_metric, geometry_at, random_valid_point, scalars
-from hkqk.kulkarni import form_obar, form_owedge, self_adjoint_defect, skew_adjoint_defect
+from hkqk.kulkarni import adjoint_defect, form_obar, form_owedge
 from hkqk.pseudo_linear import (
     compose_trace,
-    finite_diff,
     finite_diff_gradient,
     pseudo_gram_schmidt,
     quadcov_to_lambda2_op,
@@ -58,21 +57,21 @@ class TestPseudoGramSchmidt:
 class TestAdjoint:
     def test_identity_is_self_adjoint(self, rng):
         metric = random_spd_form(rng, 5)
-        assert self_adjoint_defect(np.eye(5), metric) < 1e-12
+        assert adjoint_defect(np.eye(5), metric, skew=False) < 1e-12
 
     def test_raised_two_form_is_skew(self, rng):
         metric = random_spd_form(rng, 4)
         omega = rng.standard_normal((4, 4))
         omega = omega - omega.T
         skew = np.linalg.solve(metric, omega)
-        assert skew_adjoint_defect(skew, metric) < 1e-12
+        assert adjoint_defect(skew, metric, skew=True) < 1e-12
 
     def test_euclidean_adjoint_is_transpose(self, rng):
         # for the Euclidean metric the adjointness defects are the asymmetry of the matrix
         metric = signature_form(7)
         e = rng.standard_normal((7, 7))
-        assert self_adjoint_defect(e, metric) == np.abs(e - e.T).max()
-        assert skew_adjoint_defect(e, metric) == np.abs(e + e.T).max()
+        assert adjoint_defect(e, metric, skew=False) == np.abs(e - e.T).max()
+        assert adjoint_defect(e, metric, skew=True) == np.abs(e + e.T).max()
 
 
 def _pair_coords(d, u, v):
@@ -165,14 +164,14 @@ class TestQuadcovToLambda2Op:
 class TestFiniteDiff:
     def test_constant_field_gives_zero(self):
         coords = np.array([0.3, -1.2, 2.0, 0.0])
-        out = finite_diff(lambda c: np.full((2, 2), 7.5), coords, 2)
+        out = finite_diff_gradient(lambda c: np.full((2, 2), 7.5), coords)[2]
         assert_allclose(out, 0.0, atol=1e-9)
 
     def test_hamiltonian_gradient_component(self):
         # f_z = (x_0^2 + y_0^2)/2 - c/2 at m = 0, so d f_z / d x_0 = x_0
         params = ModelParams(0, 1.0)
         point = np.array([2.0, 0.5, 0.3, -0.1])
-        deriv = finite_diff(lambda c: scalars(params, c)[0], point, 0)
+        deriv = finite_diff_gradient(lambda c: scalars(params, c)[0], point)[0]
         assert_allclose(deriv, 2.0, rtol=1e-6)
 
     def test_deformed_metric_matches_analytic_gradient(self, rng):
@@ -208,7 +207,7 @@ class TestFiniteDiff:
         # f_z = 1.05e-8 is just inside the domain but within one step of the edge
         point = np.array([np.sqrt(2.1e-8), 0.0, 0.0, 0.0])
         with pytest.raises(DomainViolation):
-            finite_diff(lambda c: scalars(params, c)[0], point, 0)
+            finite_diff_gradient(lambda c: scalars(params, c)[0], point)
 
     def test_fourth_order_stencil_exact_on_cubics(self):
         coords = np.array([0.4, -0.7])
@@ -216,9 +215,20 @@ class TestFiniteDiff:
         def field(c):
             return c[0] ** 3 - 2.0 * c[0] * c[1] ** 2
 
-        deriv = finite_diff(field, coords, 0, order=4)
+        deriv = finite_diff_gradient(field, coords, order=4)[0]
         assert_allclose(deriv, 3 * 0.4 ** 2 - 2 * 0.7 ** 2, rtol=1e-10)
 
     def test_rejects_unknown_order(self):
         with pytest.raises(ValueError):
-            finite_diff(lambda c: 0.0, np.zeros(2), 0, order=3)
+            finite_diff_gradient(lambda c: 0.0, np.zeros(2), order=3)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_stacked_field_is_exactly_the_stacked_gradients(self, rng, order):
+        # one stencil over k stacked fields does the same arithmetic on every entry
+        params = ModelParams(1, 0.5)
+        point = random_valid_point(params, rng)
+        fields = [lambda c: deformed_metric(params, c), lambda c: 2.0 * deformed_metric(params, c),
+                  lambda c: deformed_metric(params, c) ** 3]
+        stacked = finite_diff_gradient(lambda c: [f(c) for f in fields], point, order=order)
+        separate = [finite_diff_gradient(f, point, order=order) for f in fields]
+        assert np.array_equal(stacked, np.stack(separate, axis=1))
