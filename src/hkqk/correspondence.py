@@ -221,8 +221,12 @@ def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     general formula has a further term g(R(A,B)C, X)/f_z, which vanishes
     because the undeformed metric is flat.
     """
-    return (form_block(geom, geom.g_h, form_owedge, form_obar) / 8.0
-            - form_block(geom, geom.omega_h, form_obar, form_owedge) / (8.0 * geom.f_z * geom.f_h))
+    rt = form_block(geom, geom.g_h, form_owedge, form_obar)
+    rt /= 8.0
+    twist = form_block(geom, geom.omega_h, form_obar, form_owedge)
+    twist /= 8.0 * geom.f_z * geom.f_h
+    rt -= twist
+    return rt
 
 
 def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:

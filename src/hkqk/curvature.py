@@ -42,8 +42,10 @@ def curvature_operator(in_frame: np.ndarray, signs: np.ndarray) -> np.ndarray:
     components are projected back onto their antisymmetric part, discarding
     pure roundoff from the contraction.
     """
-    in_frame = 0.5 * (in_frame - in_frame.transpose(1, 0, 2, 3))
-    in_frame = 0.5 * (in_frame - in_frame.transpose(0, 1, 3, 2))
+    in_frame = np.subtract(in_frame, in_frame.transpose(1, 0, 2, 3))
+    in_frame *= 0.5
+    in_frame = np.subtract(in_frame, in_frame.transpose(0, 1, 3, 2))
+    in_frame *= 0.5
     return quadcov_to_lambda2_op(in_frame, signs)
 
 

@@ -159,6 +159,15 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     if not np.all(np.isfinite(coords)):
         raise ValueError("coordinates contain non-finite entries")
     zc = coords[: 2 * params.q]
+    # Every sum of squares below is at most 2q top^2. Where that overflows, the checks
+    # below refuse the point anyway: base is then inf, nan, 0 or at least a few ulps of
+    # top^2 / 2q (> 1e280), so f_z is not positive or 8 f_h^2 is not finite. Refusing it
+    # here keeps numpy from warning about the overflow first.
+    zs = zc.tolist()
+    top = max(max(zs), -min(zs))
+    if not math.isfinite(len(zs) * top * top):
+        raise DomainViolation(f"a z-coordinate of magnitude {top:.3e} is out of range: "
+                              f"|z|^2 is not finite")
     z2 = zc[0::2] ** 2 + zc[1::2] ** 2
     base = z2[0] - z2[1:].sum()
     f_z = 0.5 * base - 0.5 * params.c

@@ -59,15 +59,21 @@ def pseudo_gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vectors, signs
 
 
+def _max_abs(arr: np.ndarray) -> float:
+    """np.abs(arr).max() without the temporary: NaN if any entry is NaN, and 0.0, not -0.0."""
+    return max(arr.max(), -arr.min()) + 0.0
+
+
 def check_pair_antisymmetry(arr: np.ndarray) -> float:
     """Largest violation of antisymmetry in the (1,2) and (3,4) index pairs."""
-    return max(np.abs(arr + arr.transpose(1, 0, 2, 3)).max(),
-               np.abs(arr + arr.transpose(0, 1, 3, 2)).max())
+    buf = np.add(arr, arr.transpose(1, 0, 2, 3))
+    first = _max_abs(buf)
+    return max(first, _max_abs(np.add(arr, arr.transpose(0, 1, 3, 2), out=buf)))
 
 
 def require_pair_antisymmetry(arr: np.ndarray) -> None:
     """Raise unless the defect is within PAIR_ANTISYMMETRY_TOL of the magnitude (floored at 1)."""
-    scale = max(1.0, float(np.abs(arr).max()))
+    scale = max(1.0, float(_max_abs(arr)))
     defect = check_pair_antisymmetry(arr)
     if defect > PAIR_ANTISYMMETRY_TOL * scale:
         raise PairAntisymmetryViolated(f"pair antisymmetry defect {defect:.2e} > "

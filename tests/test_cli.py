@@ -188,10 +188,11 @@ class TestNorm:
         code = main(["norm", "--m", "0", "--c", "1", "--point", "0.5,0,0,0"])
         assert code == 1
         assert "domain" in capsys.readouterr().err
-        # |z_0|^2 overflows to inf: a domain error, not a traceback or a report of nan
-        with np.errstate(over="ignore"):
-            assert main(["norm", "--m", "0", "--point", "1e200,0,0,0"]) == 1
+        # |z_0|^2 would overflow to inf: a domain error, not a warning, a traceback or nan
+        assert main(["norm", "--m", "0", "--point", "1e200,0,0,0"]) == 1
         assert "point outside the valid domain" in capsys.readouterr().err
+        # w-coordinates are never squared, so a huge one still reports
+        assert main(["norm", "--m", "0", "--point", "1,0,1e200,0"]) == 0
 
     def test_overflowing_point_refused_without_warnings(self, capsys):
         # f_z = 5e199 is finite, but the products the formulas form overflow

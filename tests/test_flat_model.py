@@ -133,12 +133,13 @@ class TestScalars:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             scalars(ModelParams(0, 1.0), np.array([0.5, 0.0, 3.0, 0.0]))
-        # |z|^2 overflows: f_z = inf at m = 0, and inf - inf = nan at m = 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            for params, coords in ((ModelParams(0), [1e200, 0.0, 0.0, 0.0]),
-                                   (ModelParams(1), [1e200, 0.0, 1e200, 0.0] + [0.0] * 4)):
-                with pytest.raises(DomainViolation, match="finite"):
-                    scalars(params, np.array(coords))
+        # |z|^2 would overflow (f_z = inf at m = 0, inf - inf = nan at m = 1), as would the
+        # sum of two finite squares: refused before squaring, so no RuntimeWarning
+        for params, coords in ((ModelParams(0), [1e200, 0.0, 0.0, 0.0]),
+                               (ModelParams(1), [1e200, 0.0, 1e200, 0.0] + [0.0] * 4),
+                               (ModelParams(0), [1e154, -1e154, 0.0, 0.0])):
+            with pytest.raises(DomainViolation, match="finite"):
+                scalars(params, np.array(coords))
         # f_z = 5e199 is finite but 8 f_h^2 is not: refused without a RuntimeWarning
         with pytest.raises(DomainViolation, match="finite"):
             scalars(ModelParams(0), np.array([1e100, 0.0, 0.0, 0.0]))

@@ -41,6 +41,9 @@ CASES = [
     "verify --m 1 --c 0 --samples 2 --fd-step 2e-5 --tol-override moment_map_f_z=1e-30",
     "sweep --m 1 --c 0 --rho-min 0.5 --rho-max 3 --steps 3",
     "verify --m 0 --c 0.5 --samples 1 --format csv",
+    "sweep --m 7 --c 1 --rho-min 0.1 --rho-max 10 --steps 2",
+    "decompose --m 7 --c 1 --seed 2",
+    "verify --m 3 --c 1 --samples 1",
 ]
 
 

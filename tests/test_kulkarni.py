@@ -5,18 +5,34 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_self_adjoint, random_skew_adjoint, signature_form
+import hkqk.kulkarni as kn
 from hkqk.errors import AdjointnessViolated, PairAntisymmetryViolated
 from hkqk.kulkarni import (
     endo_obar,
     endo_owedge,
     form_obar,
     form_owedge,
-    kn_owedge,
     mixed_pair_trace,
     obar_pair_trace,
     owedge_pair_trace,
 )
 from hkqk.pseudo_linear import compose_trace, pseudo_gram_schmidt
+
+
+def kn_owedge(p):
+    """Defining formula of the first product on a rank-4 array P:
+    out(A,B,C,X) = P(A,C,B,X) - P(A,X,B,C) + P(B,X,A,C) - P(B,C,A,X)."""
+    return (np.einsum("acbx->abcx", p) - np.einsum("axbc->abcx", p)
+            + np.einsum("bxac->abcx", p) - np.einsum("bcax->abcx", p))
+
+
+def reference_owedge(alpha, beta):
+    return kn_owedge(np.einsum("ab,cx->abcx", alpha, beta))
+
+
+def reference_obar(alpha, beta):
+    p = np.einsum("ab,cx->abcx", alpha, beta)
+    return kn_owedge(p) + 2.0 * p + 2.0 * np.einsum("cxab->abcx", p)
 
 
 def standard_complex_structure(d):
@@ -105,6 +121,86 @@ class TestKnObar:
             form_obar(np.ones((3, 3)), np.ones((3, 3)))
         with pytest.raises(PairAntisymmetryViolated):
             form_obar(np.eye(3), np.eye(3))
+
+
+# d = 16 spans two row blocks, d = 18 ends in a partial block, d = 32 has one row per block
+BLOCK_SIZES = (4, 6, 8, 12, 16, 18, 32)
+
+
+def assert_same_bits(out, ref):
+    # equal values, and no -0.0 where the formula has +0.0 (array_equal alone ignores it)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def sparse_form(rng, d, sign):
+    """A form a + sign a^T with many exact zeros, so products like -1 * 0 occur."""
+    a = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.3)
+    return a + sign * a.T
+
+
+class TestBlockwiseExactness:
+    @pytest.mark.parametrize("d", BLOCK_SIZES)
+    def test_owedge_matches_defining_formula(self, rng, d):
+        alpha, beta = rng.standard_normal((2, d, d))
+        assert_same_bits(form_owedge(alpha, beta), reference_owedge(alpha, beta))
+        alpha, beta = sparse_form(rng, d, 1.0), sparse_form(rng, d, 1.0)
+        assert_same_bits(form_owedge(alpha, beta), reference_owedge(alpha, beta))
+
+    @pytest.mark.parametrize("d", BLOCK_SIZES)
+    def test_obar_matches_defining_formula(self, rng, d):
+        alpha, beta = rng.standard_normal((2, d, d))
+        alpha, beta = alpha - alpha.T, beta - beta.T
+        assert_same_bits(form_obar(alpha, beta), reference_obar(alpha, beta))
+        alpha, beta = sparse_form(rng, d, -1.0), sparse_form(rng, d, -1.0)
+        assert_same_bits(form_obar(alpha, beta), reference_obar(alpha, beta))
+
+    @pytest.mark.parametrize("rows", (1, 3, 7, 100))
+    def test_any_block_height_is_exact(self, rng, monkeypatch, rows):
+        d = 7
+        monkeypatch.setattr(kn, "BLOCK_BYTES", rows * 8 * d ** 3)
+        alpha, beta = sparse_form(rng, d, 1.0), sparse_form(rng, d, -1.0)
+        assert_same_bits(form_owedge(alpha, beta), reference_owedge(alpha, beta))
+        assert_same_bits(form_obar(beta, beta), reference_obar(beta, beta))
+
+
+class TestObarGuard:
+    @pytest.fixture
+    def guard_calls(self, monkeypatch):
+        calls = []
+        guard = kn.require_pair_antisymmetry
+
+        def counting(arr):
+            calls.append(arr.shape)
+            return guard(arr)
+
+        monkeypatch.setattr(kn, "require_pair_antisymmetry", counting)
+        return calls
+
+    def test_exactly_skew_factors_skip_the_outer_product(self, rng, guard_calls):
+        alpha, beta = rng.standard_normal((2, 8, 8))
+        alpha, beta = alpha - alpha.T, beta - beta.T
+        assert_same_bits(form_obar(alpha, beta), reference_obar(alpha, beta))
+        assert guard_calls == []
+
+    @pytest.mark.parametrize("d", (6, 18))
+    def test_skew_within_tolerance_takes_the_guard(self, rng, guard_calls, d):
+        alpha, beta, sym = rng.standard_normal((3, d, d))
+        alpha = alpha - alpha.T + 1e-14 * (sym + sym.T)
+        beta = beta - beta.T
+        assert not np.array_equal(alpha, -alpha.T)
+        assert_same_bits(form_obar(alpha, beta), reference_obar(alpha, beta))
+        assert_same_bits(form_obar(beta, alpha), reference_obar(beta, alpha))
+        assert guard_calls == [(d,) * 4, (d,) * 4]
+
+    def test_beyond_tolerance_raises_the_guard_message(self):
+        j = standard_complex_structure(4)
+        with pytest.raises(PairAntisymmetryViolated) as exc:
+            form_obar(j + 1e-6 * np.eye(4), j)
+        assert str(exc.value) == "pair antisymmetry defect 2.00e-06 > 1.00e-10 * scale 1.00e+00"
+        with pytest.raises(PairAntisymmetryViolated) as exc:
+            form_obar(j, 3.0 * j + 2e-6 * np.ones((4, 4)))
+        assert str(exc.value) == "pair antisymmetry defect 4.00e-06 > 1.00e-10 * scale 3.00e+00"
 
 
 class TestEndoProducts:

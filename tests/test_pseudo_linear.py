@@ -9,10 +9,12 @@ from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViola
 from hkqk.flat_model import ModelParams, deformed_metric, geometry_at, random_valid_point, scalars
 from hkqk.kulkarni import adjoint_defect, form_obar, form_owedge
 from hkqk.pseudo_linear import (
+    check_pair_antisymmetry,
     compose_trace,
     finite_diff_gradient,
     pseudo_gram_schmidt,
     quadcov_to_lambda2_op,
+    require_pair_antisymmetry,
 )
 
 
@@ -159,6 +161,48 @@ class TestQuadcovToLambda2Op:
             weighted = 0.25 * np.einsum(
                 "a,b,c,d,cdab,abcd->", eps, eps, eps, eps, t_frame, wedge)
             assert_allclose(op_trace, weighted, rtol=1e-10, atol=1e-10)
+
+
+def abs_pair_defect(arr):
+    """The defect written with np.abs temporaries."""
+    return max(np.abs(arr + arr.transpose(1, 0, 2, 3)).max(),
+               np.abs(arr + arr.transpose(0, 1, 3, 2)).max())
+
+
+class TestPairAntisymmetryCheck:
+    def test_equals_abs_expression(self, rng):
+        for d in (2, 5, 8):
+            arr = rng.standard_normal((d, d, d, d))
+            anti = arr - arr.transpose(1, 0, 2, 3)
+            for tensor in (arr, anti, -anti, anti - anti.transpose(0, 1, 3, 2)):
+                assert check_pair_antisymmetry(tensor) == abs_pair_defect(tensor)
+
+    def test_nan_propagates_like_abs(self, rng):
+        for index in ((0, 1, 2, 3), (2, 2, 0, 1), (3, 0, 3, 3)):
+            arr = rng.standard_normal((4, 4, 4, 4))
+            arr[index] = np.nan
+            assert np.isnan(abs_pair_defect(arr))
+            assert np.isnan(check_pair_antisymmetry(arr))
+
+    def test_zero_defect_is_positive_zero(self):
+        for value in (0.0, -0.0):
+            defect = check_pair_antisymmetry(np.full((3, 3, 3, 3), value))
+            assert defect == 0.0 and np.copysign(1.0, defect) == 1.0
+
+    def test_scale_is_the_largest_magnitude(self):
+        # a defect of 2e-10 passes at scale 2 (bound 2e-10) and fails at scale 1.9
+        for peak, raises in ((-2.0, False), (-1.9, True)):
+            arr = np.zeros((2, 2, 2, 2))
+            arr[0, 0, 0, 0] = 1e-10
+            arr[1, 0, 1, 0] = peak
+            arr[0, 1, 0, 1] = peak
+            arr[0, 1, 1, 0] = -peak
+            arr[1, 0, 0, 1] = -peak
+            if raises:
+                with pytest.raises(PairAntisymmetryViolated, match="scale 1.90e"):
+                    require_pair_antisymmetry(arr)
+            else:
+                require_pair_antisymmetry(arr)
 
 
 class TestFiniteDiff:
