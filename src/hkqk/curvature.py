@@ -17,7 +17,7 @@ from .correspondence import form_block, rtilde_closed
 from .errors import DomainViolation
 from .flat_model import GeometryAt
 from .kulkarni import form_obar, form_owedge
-from .pseudo_linear import compose_trace, pseudo_gram_schmidt, quadcov_to_lambda2_op
+from .pseudo_linear import compose_trace, pseudo_gram_schmidt, wedge_pairs
 
 # powers p = 0..K_TRACE_MAX_EXPONENT of the comparison endomorphism are traced
 K_TRACE_MAX_EXPONENT = 6
@@ -39,14 +39,19 @@ def curvature_operator(in_frame: np.ndarray, signs: np.ndarray) -> np.ndarray:
     Takes the tensor's components ``in_frame`` on an orthonormal frame of the
     deformed metric with the given signs, so the matrix of a tensor with pair
     symmetry is symmetric. The change of frame is a linear map, so the
-    components are projected back onto their antisymmetric part, discarding
-    pure roundoff from the contraction.
+    components are projected back onto their antisymmetric part in each index
+    pair, discarding pure roundoff from the contraction. Only the pair entries
+    are formed, each with the arithmetic of the full projection; the result is
+    exactly pair-antisymmetric (fl(x - y) = -fl(y - x)), so it needs no guard.
     """
-    in_frame = np.subtract(in_frame, in_frame.transpose(1, 0, 2, 3))
-    in_frame *= 0.5
-    in_frame = np.subtract(in_frame, in_frame.transpose(0, 1, 3, 2))
-    in_frame *= 0.5
-    return quadcov_to_lambda2_op(in_frame, signs)
+    ab, ba, norms = wedge_pairs(signs)
+    flat = in_frame.reshape(signs.size ** 2, -1)
+    rows = np.subtract(flat[ab], flat[ba])
+    rows *= 0.5
+    # take, not rows[:, ab], whose column-major result would change the operator's layout
+    pairs = np.subtract(rows.take(ab, axis=1), rows.take(ba, axis=1))
+    pairs *= 0.5
+    return norms[:, None] * pairs.T
 
 
 def curvature_norm_frame(geom: GeometryAt, rtilde: np.ndarray) -> float:

@@ -16,40 +16,51 @@ from .errors import AdjointnessViolated
 from .pseudo_linear import quadcov_to_lambda2_op, require_pair_antisymmetry
 
 ADJOINT_TOL = 1e-10
-# bytes of output written per block of leading rows: small enough for the block and
-# its rows of P and Q to stay in L2 cache (one row at d = 32, eight at d = 16)
+# bytes of output written per block of leading rows: small enough for the block, a
+# term buffer and the rows of P and Q to stay in L2 cache (one row at d = 32, eight at d = 16)
 BLOCK_BYTES = 256 * 1024
 
 
-def _form_product(alpha: np.ndarray, beta: np.ndarray, *, bar: bool) -> np.ndarray:
-    """out(A,B,C,X) = P(A,C,B,X) - P(A,X,B,C) + P(B,X,A,C) - P(B,C,A,X) with
-    P(A,B,C,X) = alpha(A,B) beta(C,X), plus 2 P(A,B,C,X) + 2 P(C,X,A,B) if ``bar``.
+def form_sum(terms: list[tuple[np.ndarray, np.ndarray, bool]]) -> np.ndarray:
+    """Sum of the form products over ``terms`` = [(alpha, beta, bar), ...], in list order:
+    form_obar(alpha, beta) if ``bar``, else form_owedge(alpha, beta).
 
-    Written block by block of leading rows A. Row A of the first two terms reads
-    row A of P, and row A of the last two reads row A of Q(A,B,C,X) = P(C,X,A,B)
-    = beta(A,B) alpha(C,X), so only those rows of P and Q are built, by the same
-    einsum as the full P (which writes +0.0, never -0.0, for a zero product).
-    Every entry is then formed from the same products, summed in the same order,
-    as the expression over the full outer product, and the two agree bit for bit.
+    The pair guard of every bar term runs first (see form_obar). The sum is then
+    written block by block of leading rows A. Row A of a product reads only row A
+    of P and of Q(A,B,C,X) = P(C,X,A,B) = beta(A,B) alpha(C,X), so only those rows
+    are built, by the same einsum as the full P (which writes +0.0, never -0.0,
+    for a zero product); Q's rows are P's if ``beta is alpha``. The first product
+    goes straight into the output block, each later one into a buffer that is
+    then added. Every entry is thus formed from the same products, summed in the
+    same order, as the full-array products and sums, and agrees bit for bit.
     """
-    d = alpha.shape[0]
+    for alpha, beta, bar in terms:
+        if bar and not ((alpha == -alpha.T).all() and (beta == -beta.T).all()):
+            require_pair_antisymmetry(np.einsum("ab,cx->abcx", alpha, beta))
+    d = terms[0][0].shape[0]
     out = np.empty((d,) * 4)
     rows = min(d, max(1, BLOCK_BYTES // (8 * d ** 3)))
-    p_buf = np.empty((rows, d, d, d))
-    q_buf = np.empty((rows, d, d, d))
+    p_buf, q_buf, t_buf = np.empty((3, rows, d, d, d))
     for a0 in range(0, d, rows):
         a1 = min(a0 + rows, d)
-        blk, p, q = out[a0:a1], p_buf[: a1 - a0], q_buf[: a1 - a0]
-        np.einsum("ab,cx->abcx", alpha[a0:a1], beta, out=p)
-        np.einsum("ab,cx->abcx", beta[a0:a1], alpha, out=q)
-        np.subtract(p.transpose(0, 2, 1, 3), p.transpose(0, 2, 3, 1), out=blk)
-        blk += q.transpose(0, 2, 1, 3)
-        blk -= q.transpose(0, 2, 3, 1)
-        if bar:
-            p *= 2.0
-            blk += p
-            q *= 2.0
-            blk += q
+        for n, (alpha, beta, bar) in enumerate(terms):
+            blk = t_buf[: a1 - a0] if n else out[a0:a1]
+            p = q = p_buf[: a1 - a0]
+            np.einsum("ab,cx->abcx", alpha[a0:a1], beta, out=p)
+            if beta is not alpha:
+                q = q_buf[: a1 - a0]
+                np.einsum("ab,cx->abcx", beta[a0:a1], alpha, out=q)
+            np.subtract(p.transpose(0, 2, 1, 3), p.transpose(0, 2, 3, 1), out=blk)
+            blk += q.transpose(0, 2, 1, 3)
+            blk -= q.transpose(0, 2, 3, 1)
+            if bar:
+                p *= 2.0
+                blk += p
+                if q is not p:
+                    q *= 2.0
+                blk += q
+            if n:
+                out[a0:a1] += blk
     return out
 
 
@@ -57,7 +68,7 @@ def form_owedge(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """First product of two (0,2)-tensors: with P(A,B,C,X) = alpha(A,B) beta(C,X),
     out(A,B,C,X) = P(A,C,B,X) - P(A,X,B,C) + P(B,X,A,C) - P(B,C,A,X).
     """
-    return _form_product(alpha, beta, bar=False)
+    return form_sum([(alpha, beta, False)])
 
 
 def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -69,9 +80,7 @@ def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     P(A,B,C,X) + P(B,A,C,X) and of P(A,B,C,X) + P(A,B,X,C) is fl(x) + fl(-x) = 0,
     so the check passes and P is built and checked only for other factors.
     """
-    if not ((alpha == -alpha.T).all() and (beta == -beta.T).all()):
-        require_pair_antisymmetry(np.einsum("ab,cx->abcx", alpha, beta))
-    return _form_product(alpha, beta, bar=True)
+    return form_sum([(alpha, beta, True)])
 
 
 def adjoint_defect(endo: np.ndarray, metric: np.ndarray, *, skew: bool) -> float:

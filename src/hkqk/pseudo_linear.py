@@ -80,6 +80,15 @@ def require_pair_antisymmetry(arr: np.ndarray) -> None:
                                        f"{PAIR_ANTISYMMETRY_TOL:.2e} * scale {scale:.2e}")
 
 
+def wedge_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the pairs a < b in lexicographic order: the indices a*d + b and b*d + a
+    into the (d*d, d*d) view of a rank-4 tensor, and the wedge norms signs[a] * signs[b].
+    """
+    d = signs.size
+    ii, jj = np.triu_indices(d, 1)
+    return ii * d + jj, jj * d + ii, signs[ii] * signs[jj]
+
+
 def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Operator M on the exterior square with <M(A^B), C^X> = T(A, B, C, X).
 
@@ -91,9 +100,8 @@ def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
     antisymmetric in both index pairs (``require_pair_antisymmetry``).
     """
     require_pair_antisymmetry(tensor)
-    ii, jj = np.triu_indices(tensor.shape[0], 1)
-    T2 = tensor[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
-    return (signs[ii] * signs[jj])[:, None] * T2.T
+    ab, _, norms = wedge_pairs(signs)
+    return norms[:, None] * tensor.reshape(signs.size ** 2, -1)[np.ix_(ab, ab)].T
 
 
 def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],

@@ -21,7 +21,7 @@ from hkqk.curvature import (
 )
 from hkqk.errors import DomainViolation
 from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
-from hkqk.pseudo_linear import pseudo_gram_schmidt
+from hkqk.pseudo_linear import check_pair_antisymmetry, pseudo_gram_schmidt, require_pair_antisymmetry
 
 
 def geometry(m, c, rng):
@@ -56,6 +56,64 @@ class TestCurvatureOperator:
             op = curvature_operator(*in_frame(geom, rtilde_closed(geom)))
             scale = max(1.0, np.abs(op).max())
             assert np.abs(op - op.T).max() < 1e-10 * scale
+
+
+def two_pass_projection(t):
+    """Antisymmetrize the first index pair, then the second, over the full array."""
+    t = np.subtract(t, t.transpose(1, 0, 2, 3))
+    t *= 0.5
+    t = np.subtract(t, t.transpose(0, 1, 3, 2))
+    t *= 0.5
+    return t
+
+
+def reference_operator(t, signs):
+    """The full-size projection, then the gather of the pair entries a < b, c < x."""
+    ii, jj = np.triu_indices(t.shape[0], 1)
+    pairs = two_pass_projection(t)[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
+    return (signs[ii] * signs[jj])[:, None] * pairs.T
+
+
+def special_tensor(rng, d, kind):
+    t = rng.standard_normal((d,) * 4)
+    if kind == "signed_zeros":
+        t[rng.random(t.shape) < 0.3] = 0.0
+        t[rng.random(t.shape) < 0.3] = -0.0
+    elif kind == "non_finite":
+        t[rng.random(t.shape) < 0.05] = np.inf
+        t[rng.random(t.shape) < 0.05] = -np.inf
+        t[rng.random(t.shape) < 0.05] = np.nan
+    return t
+
+
+TENSOR_KINDS = ("random", "signed_zeros", "non_finite")
+
+
+class TestPairOnlyOperator:
+    @pytest.mark.parametrize("kind", TENSOR_KINDS)
+    @pytest.mark.parametrize("d", (4, 7, 16, 32))
+    def test_matches_projection_then_gather_bit_for_bit(self, rng, d, kind):
+        t = special_tensor(rng, d, kind)
+        signs = np.where(rng.random(d) < 0.3, -1.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            op, ref = curvature_operator(t, signs), reference_operator(t, signs)
+        # every bit, NaN payloads and the sign of zero included; the same memory
+        # layout too, since later reductions over the operator may follow it
+        assert np.array_equal(op.view(np.uint64), ref.view(np.uint64))
+        assert op.strides == ref.strides
+
+    @pytest.mark.parametrize("kind", TENSOR_KINDS)
+    def test_projection_is_exactly_pair_antisymmetric(self, rng, kind):
+        # fl(x - y) = -fl(y - x) and halving keeps the sign, so a pair guard on the
+        # projection only ever sees defects of 0 or NaN, and never raises
+        t = special_tensor(rng, 8, kind)
+        with np.errstate(invalid="ignore"):
+            proj = two_pass_projection(t)
+            for swapped in (proj.transpose(1, 0, 2, 3), proj.transpose(0, 1, 3, 2)):
+                assert np.array_equal(proj, -swapped, equal_nan=True)
+            defect = check_pair_antisymmetry(proj)
+            assert defect == 0.0 if kind != "non_finite" else np.isnan(defect)
+            require_pair_antisymmetry(proj)
 
 
 class TestNormValues:

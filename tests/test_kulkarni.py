@@ -12,6 +12,7 @@ from hkqk.kulkarni import (
     endo_owedge,
     form_obar,
     form_owedge,
+    form_sum,
     mixed_pair_trace,
     obar_pair_trace,
     owedge_pair_trace,
@@ -162,6 +163,55 @@ class TestBlockwiseExactness:
         alpha, beta = sparse_form(rng, d, 1.0), sparse_form(rng, d, -1.0)
         assert_same_bits(form_owedge(alpha, beta), reference_owedge(alpha, beta))
         assert_same_bits(form_obar(beta, beta), reference_obar(beta, beta))
+
+
+# d = 20 has four rows per block, d = 24 two, d = 32 one
+FORM_SUM_SIZES = (4, 8, 12, 16, 20, 24, 32)
+
+
+def block_terms(rng, d, own_bar):
+    """Four same-factor terms shaped like a closed-route form block: a form of one
+    parity and three of the other, the own term first."""
+    own = sparse_form(rng, d, -1.0 if own_bar else 1.0)
+    turned = [sparse_form(rng, d, 1.0 if own_bar else -1.0) for _ in range(3)]
+    return [(own, own, own_bar)] + [(f, f, not own_bar) for f in turned]
+
+
+def reference_sum(terms):
+    """Term by term: the first product, then each later one added to the full array."""
+    def product(alpha, beta, bar):
+        return reference_obar(alpha, beta) if bar else reference_owedge(alpha, beta)
+
+    block = product(*terms[0])
+    for term in terms[1:]:
+        block += product(*term)
+    return block
+
+
+class TestFormSum:
+    @pytest.mark.parametrize("own_bar", (False, True))
+    @pytest.mark.parametrize("d", FORM_SUM_SIZES)
+    def test_same_factor_block_matches_term_by_term_sum(self, rng, d, own_bar):
+        terms = block_terms(rng, d, own_bar)
+        assert all(beta is alpha for alpha, beta, _ in terms)
+        assert_same_bits(form_sum(terms), reference_sum(terms))
+
+    @pytest.mark.parametrize("d", FORM_SUM_SIZES)
+    def test_equal_copy_matches_same_factor(self, rng, d):
+        terms = block_terms(rng, d, False)
+        copies = [(alpha, beta.copy(), bar) for alpha, beta, bar in terms]
+        assert_same_bits(form_sum(copies), form_sum(terms))
+        assert_same_bits(form_sum(copies), reference_sum(terms))
+
+    def test_non_skew_bar_term_raises_the_guard_message(self, rng):
+        j = standard_complex_structure(4)
+        sym = sparse_form(rng, 4, 1.0)
+        with pytest.raises(PairAntisymmetryViolated) as exc:
+            form_sum([(sym, sym, False), (j, j, True), (j + 1e-6 * np.eye(4), j, True)])
+        assert str(exc.value) == "pair antisymmetry defect 2.00e-06 > 1.00e-10 * scale 1.00e+00"
+        # a symmetric factor passes unchecked where it is an owedge term
+        assert_same_bits(form_sum([(j, j, True), (np.eye(4), np.eye(4), False)]),
+                         reference_sum([(j, j, True), (np.eye(4), np.eye(4), False)]))
 
 
 class TestObarGuard:
