@@ -148,6 +148,16 @@ def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator)
     return worst
 
 
+def substitute_last_slots(tensor: np.ndarray, endo: np.ndarray) -> np.ndarray:
+    """tensor(A, B, E C, E X) as arr[a, b, p, q] = sum_{c,x} tensor[a,b,c,x] E[c,p] E[x,q].
+
+    Two matrix products over the last axis. Where E is a signed permutation
+    matrix, as every I_j is, each entry is plus or minus one entry of the
+    tensor, exactly, whatever the order of summation.
+    """
+    return np.swapaxes(np.swapaxes(tensor @ endo, 2, 3) @ endo, 2, 3)
+
+
 def invariance_residual(geom: GeometryAt) -> float:
     """Invariance of the twist-form block under substituting I_j into its last slots.
 
@@ -157,8 +167,7 @@ def invariance_residual(geom: GeometryAt) -> float:
     block = form_block(geom, geom.omega_h, form_obar, form_owedge)
     worst = 0.0
     for j in (1, 2, 3):
-        ij = geom.i_mu[j]
-        twisted = np.einsum("abcx,cp,xq->abpq", block, ij, ij)
+        twisted = substitute_last_slots(block, geom.i_mu[j])
         worst = max(worst, float(np.abs(twisted - block).max()))
     return worst
 

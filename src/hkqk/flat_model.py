@@ -66,6 +66,9 @@ class ConstantTensors:
     ``omega_mu`` is (g, omega_1, omega_2, omega_3) and ``i_mu`` is
     (id, I_1, I_2, I_3), both indexed by mu = 0..3. ``dz`` is the Jacobian of
     the rotating field and ``i_h`` = I_1 + 2 dz the twist endomorphism.
+    ``alpha_map`` stacks the transposed omega_mu and ``i_map`` the i_mu into
+    (4d, d) matrices, so that one product with a vector V gives all four
+    omega_mu(V, .), or all four I_mu V, as the rows of its (4, d) reshape.
     """
 
     g: np.ndarray
@@ -74,6 +77,8 @@ class ConstantTensors:
     i_mu: tuple[np.ndarray, ...]
     dz: np.ndarray
     i_h: np.ndarray
+    alpha_map: np.ndarray
+    i_map: np.ndarray
 
 
 # keyed on the whole of params, c included; bounded so that a loop over many c stays small
@@ -130,8 +135,11 @@ def constant_tensors(params: ModelParams) -> ConstantTensors:
             assert np.abs(a @ a + eye).max() < 1e-14
         assert np.abs(ih @ ih + eye).max() < 1e-14
 
-    return ConstantTensors(g=g, omega_mu=(g, o1, o2, o3), omega_h=oh,
-                           i_mu=(np.eye(d), i1, i2, i3), dz=dz, i_h=ih)
+    omega_mu = (g, o1, o2, o3)
+    i_mu = (np.eye(d), i1, i2, i3)
+    return ConstantTensors(g=g, omega_mu=omega_mu, omega_h=oh, i_mu=i_mu, dz=dz, i_h=ih,
+                           alpha_map=np.concatenate([om.T for om in omega_mu]),
+                           i_map=np.concatenate(i_mu))
 
 
 def vector_z(params: ModelParams, coords: np.ndarray) -> np.ndarray:
@@ -140,7 +148,7 @@ def vector_z(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     out = np.zeros(params.d)
     zc = coords[: 2 * q]
     out[0: 2 * q: 2] = zc[1::2]
-    out[1: 2 * q: 2] = -zc[0::2]
+    np.negative(zc[0::2], out=out[1: 2 * q: 2])
     return out
 
 
@@ -156,20 +164,23 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     if coords.shape != (params.d,):
         raise ValueError(f"coordinates must be a flat vector of length 4(m+1) = {params.d}, "
                          f"got shape {coords.shape}")
-    if not np.all(np.isfinite(coords)):
+    # a Python list is checked faster than a small array
+    values = coords.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("coordinates contain non-finite entries")
     zc = coords[: 2 * params.q]
     # Every sum of squares below is at most 2q top^2. Where that overflows, the checks
     # below refuse the point anyway: base is then inf, nan, 0 or at least a few ulps of
     # top^2 / 2q (> 1e280), so f_z is not positive or 8 f_h^2 is not finite. Refusing it
     # here keeps numpy from warning about the overflow first.
-    zs = zc.tolist()
+    zs = values[: zc.size]
     top = max(max(zs), -min(zs))
     if not math.isfinite(len(zs) * top * top):
         raise DomainViolation(f"a z-coordinate of magnitude {top:.3e} is out of range: "
                               f"|z|^2 is not finite")
-    z2 = zc[0::2] ** 2 + zc[1::2] ** 2
-    base = z2[0] - z2[1:].sum()
+    sq = zc * zc
+    z2 = sq[0::2] + sq[1::2]
+    base = z2[0] - np.add.reduce(z2[1:])
     f_z = 0.5 * base - 0.5 * params.c
     f_h = -0.5 * base - 0.5 * params.c
     # 8 f_h^2 is the largest product the formulas form, since |f_h| = f_z + c >= f_z. In
@@ -202,7 +213,7 @@ class GeometryAt(ConstantTensors):
     coords: np.ndarray
     k_compare: np.ndarray
     z_rot: np.ndarray
-    alpha: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    alpha: np.ndarray
     f_z: float
     f_h: float
     g_zz: float
@@ -218,12 +229,17 @@ class GeometryAt(ConstantTensors):
         return self.params.q
 
 
+def _stacked_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_mu left[mu] (x) right[mu] over the rows of two (4, d) arrays, added as
+    ((0 + P_0) + P_1) + ... so that each entry is rounded in the order of a sum over mu."""
+    return np.add.reduce(left[:, :, None] * right[:, None, :], initial=0.0)
+
+
 def _metric_data(consts: ConstantTensors, f_z: float, z: np.ndarray):
     """alpha_mu = omega_mu(Z, .) = g(I_mu Z, .), g_alpha = sum_mu alpha_mu^2, g_h = g/f_z + g_alpha/f_z^2."""
-    g = consts.g
-    alpha = (g @ z, *(om.T @ z for om in consts.omega_mu[1:]))
-    g_alpha = sum(np.outer(a, a) for a in alpha)
-    return alpha, g_alpha, g / f_z + g_alpha / f_z ** 2
+    alpha = (consts.alpha_map @ z).reshape(4, -1)
+    g_alpha = _stacked_sum(alpha, alpha)
+    return alpha, g_alpha, consts.g / f_z + g_alpha / f_z ** 2
 
 
 def deformed_metric(params: ModelParams, coords: np.ndarray) -> np.ndarray:
@@ -242,8 +258,7 @@ def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:
     z = vector_z(params, coords)
 
     alpha, g_alpha, g_h = _metric_data(consts, f_z, z)
-    k = f_z * np.eye(d) - (f_z / f_h) * sum(
-        np.outer(i @ z, a) for i, a in zip(consts.i_mu, alpha))
+    k = f_z * np.eye(d) - (f_z / f_h) * _stacked_sum((consts.i_map @ z).reshape(4, -1), alpha)
 
     return GeometryAt(
         **vars(consts),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hkqk.correspondence import rtilde_closed
+from hkqk.correspondence import form_block, rtilde_closed
 from hkqk.curvature import (
     SPLIT_NU,
     alekseevsky_split,
@@ -17,16 +17,23 @@ from hkqk.curvature import (
     norm_report,
     quadcov_in_frame,
     scalar_curvature,
+    substitute_last_slots,
     trace_k_powers,
 )
 from hkqk.errors import DomainViolation
 from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
+from hkqk.kulkarni import form_obar, form_owedge
 from hkqk.pseudo_linear import check_pair_antisymmetry, pseudo_gram_schmidt, require_pair_antisymmetry
 
 
 def geometry(m, c, rng):
     params = ModelParams(m, c)
     return geometry_at(params, random_valid_point(params, rng))
+
+
+def expected_of(block, ij):
+    """The substitution of I_j into the last two slots, as one einsum."""
+    return np.einsum("abcx,cp,xq->abpq", block, ij, ij)
 
 
 def in_frame(geom, rt):
@@ -201,6 +208,24 @@ class TestSplit:
         geom = geometry(1, 0.0, rng)
         r0 = alekseevsky_split(geom, rtilde_closed(geom))[0]
         assert hk_type_residual(geom, r0, rng) > 1e-3
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_substitution_matches_einsum_exactly(self, m, corrupt):
+        params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        block = form_block(geom, geom.omega_h, form_obar, form_owedge)
+        signed = block.copy()
+        signed[0, 1, 2, 3], signed[1, 0, 3, 2] = -0.0, 0.0
+        reference = 0.0
+        for ij in geom.i_mu[1:]:
+            for tensor in (block, signed):
+                expected = expected_of(tensor, ij)
+                got = substitute_last_slots(tensor, ij)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+            reference = max(reference, float(np.abs(expected_of(block, ij) - block).max()))
+        assert invariance_residual(geom) == reference
 
     def test_invariance_of_twist_form_block(self, rng):
         for m, c in ((0, 0.0), (1, 1.0), (3, 0.5)):

@@ -1,5 +1,7 @@
 """Model construction: constant tensors, scalars, geometry snapshots, identities."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -235,6 +237,84 @@ class TestDifferentialIdentities:
             "moment_map_f_z", "moment_map_f_h", "twist_form_from_omega1", "sum_identity",
         }
         assert set(res) == expected
+
+
+def reference_kernels(params, coords):
+    """The model formulas one term at a time: vectors, sums of squares and outer
+    products in plain numpy calls, each sum over mu taken as Python's sum."""
+    consts = constant_tensors(params)
+    q, d = params.q, params.d
+    zc = coords[: 2 * q]
+    z2 = zc[0::2] ** 2 + zc[1::2] ** 2
+    base = z2[0] - z2[1:].sum()
+    f_z = 0.5 * base - 0.5 * params.c
+    f_h = -0.5 * base - 0.5 * params.c
+    z = np.zeros(d)
+    z[0: 2 * q: 2] = zc[1::2]
+    z[1: 2 * q: 2] = -zc[0::2]
+    g = consts.g
+    alpha = (g @ z, *(om.T @ z for om in consts.omega_mu[1:]))
+    g_alpha = sum(np.outer(a, a) for a in alpha)
+    g_h = g / f_z + g_alpha / f_z ** 2
+    k = f_z * np.eye(d) - (f_z / f_h) * sum(
+        np.outer(i @ z, a) for i, a in zip(consts.i_mu, alpha))
+    return {"scalars": (f_z, f_h, -base), "z_rot": z, "alpha": np.array(alpha),
+            "g_alpha": g_alpha, "g_h": g_h, "k_compare": k}
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
+    def test_bit_for_bit(self, m, c):
+        # stacked products and broadcast outer products round exactly as the formulas
+        # written one term at a time, down to the sign of every zero
+        params = ModelParams(m, c)
+        rng = np.random.default_rng(1000 * m + int(c))
+        points = [random_valid_point(params, rng) for _ in range(40)]
+        for point in points[::4]:
+            # exact zeros of both signs, away from z_0 so that the point stays valid
+            point[rng.integers(2, params.d, 3)] = 0.0
+            point[rng.integers(2, params.d)] = -0.0
+        # about 1 in 1000 f_z has a square that C pow rounds apart from f_z * f_z
+        while True:
+            point = random_valid_point(params, rng)
+            f_z = scalars(params, point)[0]
+            if f_z ** 2 != f_z * f_z:
+                points.append(point)
+                break
+        for point in points:
+            expected = reference_kernels(params, point)
+            geom = geometry_at(params, point)
+            for name in ("z_rot", "alpha", "g_alpha", "g_h", "k_compare"):
+                assert np.array_equal(bits(getattr(geom, name)), bits(expected[name])), name
+            assert np.array_equal(bits(scalars(params, point)), bits(expected["scalars"]))
+            assert np.array_equal(bits(vector_z(params, point)), bits(expected["z_rot"]))
+            assert np.array_equal(bits(deformed_metric(params, point)), bits(expected["g_h"]))
+
+    def test_domain_and_shape_messages(self):
+        params = ModelParams(0, 1.0)
+        cases = [
+            (np.zeros(6), ValueError,
+             "coordinates must be a flat vector of length 4(m+1) = 4, got shape (6,)"),
+            (np.full((2, 2), 2.0), ValueError,
+             "coordinates must be a flat vector of length 4(m+1) = 4, got shape (2, 2)"),
+            ([2.0, np.nan, 0.0, 0.0], ValueError, "coordinates contain non-finite entries"),
+            ([2.0, 0.0, -np.inf, 0.0], ValueError, "coordinates contain non-finite entries"),
+            ([1e200, 0.0, 0.0, 0.0], DomainViolation,
+             "a z-coordinate of magnitude 1.000e+200 is out of range: |z|^2 is not finite"),
+            ([1e100, 0.0, 0.0, 0.0], DomainViolation,
+             "f_z = 5.000e+199 and f_h = -5.000e+199 are out of range: 8 f_h^2 is not finite"),
+            ([0.5, 0.0, 3.0, 0.0], DomainViolation,
+             "f_z = -3.750e-01 is not positive (threshold 1e-08)"),
+        ]
+        for coords, error, message in cases:
+            for evaluate in (scalars, deformed_metric, geometry_at):
+                with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                    evaluate(params, coords)
 
 
 class TestSampling:
