@@ -172,8 +172,11 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     sh = corr.s_h_tensor(geom, step=step)
     sq = corr.s_q_tensor(geom)
     res["s_parts_vs_closed_rel"] = float(np.abs(sh + sq - sc).max() / np.abs(sc).max())
+    # each structural defect is in units of the terms it sums, floored at 1
+    skew_terms = np.einsum("iab,ic->abc", np.abs(sq), np.abs(gh)).max()
     res["s_q_gh_skew"] = float(np.abs(np.einsum("iab,ic->abc", sq, gh)
-                                      + np.einsum("iac,ib->abc", sq, gh)).max())
+                                      + np.einsum("iac,ib->abc", sq, gh)).max()
+                               / max(1.0, skew_terms))
     res["s_h_symmetric"] = float(np.abs(sh - np.einsum("iba->iab", sh)).max())
     torsion = sc - np.einsum("iba->iab", sc) - np.einsum("ab,i->iab", oh, geom.z_rot) / geom.f_h
     res["s_torsion_formula"] = float(np.abs(torsion).max())
@@ -196,10 +199,11 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
 
     rt_closed = corr.rtilde_closed(geom)
     rt_direct = corr.rtilde_direct(geom, step=step)
-    res["rtilde_direct_vs_closed"] = float(
-        np.abs(rt_closed - rt_direct).max() / max(1.0, np.abs(rt_closed).max()))
+    scale = max(1.0, np.abs(rt_closed).max())
+    res["rtilde_direct_vs_closed"] = float(np.abs(rt_closed - rt_direct).max() / scale)
     (res["rtilde_pair_antisymmetry"], res["rtilde_pair_symmetry"],
-     res["rtilde_first_bianchi"]) = _curvature_type_defects(rt_closed)
+     res["rtilde_first_bianchi"]) = (float(defect / scale)
+                                     for defect in _curvature_type_defects(rt_closed))
     return res, rt_closed
 
 
@@ -274,11 +278,15 @@ def _profile_residuals(config: RunConfig) -> dict[str, float]:
         expected = 4.0 * params.q * (2 * params.q + 1)
         res["c0_norm_constant_rel"] = float(np.abs(values - expected).max() / expected)
     else:
-        diffs = np.diff(values)
-        if np.all(diffs > 0.0) or np.all(diffs < 0.0):
-            res["rho_profile_monotone"] = 0.0
+        # the direction is that of the first nonzero step; a step that rounds to a tie
+        # is not against it, and a grid without a nonzero step has no direction at all
+        steps = np.diff(values)
+        steps = steps[steps != 0.0]
+        if steps.size == 0:
+            res["rho_profile_monotone"] = math.inf
         else:
-            res["rho_profile_monotone"] = float(np.abs(diffs[np.sign(diffs) != np.sign(diffs[0])]).max())
+            against = steps[np.sign(steps) != np.sign(steps[0])]
+            res["rho_profile_monotone"] = float(np.abs(against).max()) if against.size else 0.0
     return res
 
 
@@ -303,9 +311,12 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         fold(fm.verify_differential_identities(geom, step=config.fd_step), 1)
         corr_res, rt_closed = _correspondence_residuals(config, geom)
         fold(corr_res, 1)
-        report, op = curv.norm_report(geom, rt_closed, hk_seed=derived_seed(config.seed, index))
+        report, op, vectors = curv.norm_report(geom, rt_closed,
+                                               hk_seed=derived_seed(config.seed, index))
+        # the change of frame sums terms up to max|R~| (max_p sum_a |V_pa|)^4
+        op_terms = np.abs(rt_closed).max() * np.abs(vectors).sum(axis=1).max() ** 4
         fold({"curvature_operator_self_adjoint":
-              float(np.abs(op - op.T).max() / max(1.0, np.abs(op).max())),
+              float(np.abs(op - op.T).max() / max(1.0, op_terms)),
               **report["residuals"], **curv.k_trace_residuals(geom)}, 1)
 
     fold(_kulkarni_residuals(config), config.samples)

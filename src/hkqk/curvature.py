@@ -92,7 +92,8 @@ def k_trace_residuals(geom: GeometryAt) -> dict[str, float]:
     """Agreement of the closed traces with the explicit matrix, and the vanishing traces.
 
     Returns the worst relative defect of tr(K^p) over p = 0..K_TRACE_MAX_EXPONENT and
-    the largest magnitude among tr(K^p I_k), tr(K^p I_h), tr(K^p I_h I_k).
+    the largest magnitude among tr(K^p I_k), tr(K^p I_h), tr(K^p I_h I_k), each in
+    units of the terms it sums: tr(AB) over sum_ij |A_ij| |B_ji|, floored at 1.
     """
     k = geom.k_compare
     i_h = geom.i_h
@@ -104,12 +105,10 @@ def k_trace_residuals(geom: GeometryAt) -> dict[str, float]:
         closed = trace_k_powers(geom, p)
         # the closed value crosses zero (odd powers at c = 0, q = 2); floor the scale
         worst_rel = max(worst_rel, abs(np.trace(power) - closed) / max(1.0, abs(closed)))
-        worst_vanish = max(
-            worst_vanish,
-            max(abs(np.trace(power @ ik)) for ik in iks),
-            abs(np.trace(power @ i_h)),
-            max(abs(np.trace(power @ i_h @ ik)) for ik in iks),
-        )
+        power_h = power @ i_h
+        for a, b in [(power, ik) for ik in iks] + [(power, i_h)] + [(power_h, ik) for ik in iks]:
+            terms = compose_trace(np.abs(a), np.abs(b))
+            worst_vanish = max(worst_vanish, abs(np.trace(a @ b)) / max(1.0, terms))
         power = power @ k
     return {"k_trace_closed_vs_matrix_rel": worst_rel, "k_trace_vanishing_abs": worst_vanish}
 
@@ -179,11 +178,11 @@ def scalar_curvature(in_frame: np.ndarray, signs: np.ndarray) -> float:
 
 
 def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
-                *, hk_seed: int = 0) -> tuple[dict, np.ndarray]:
+                *, hk_seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
     """Evaluate both norm routes, the scalar curvature (on the same frame), and the split checks.
 
     Returns the report that ``hkqk norm`` prints, with its cross-check residuals,
-    and the curvature operator.
+    the curvature operator, and the frame vectors it was built on.
     """
     rt = rtilde if rtilde is not None else rtilde_closed(geom)
     vectors, signs = pseudo_gram_schmidt(geom.g_h)
@@ -205,4 +204,4 @@ def norm_report(geom: GeometryAt, rtilde: np.ndarray | None = None,
               "norm_frame": frame_norm, "norm_closed": closed_norm,
               "scal": scal, "nu": scal / (4.0 * q * (q + 2)),
               "residuals": residuals}
-    return report, op
+    return report, op, vectors

@@ -1,20 +1,36 @@
 """Command-line front end: exit codes, determinism, report contents."""
 
 import csv
+import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from hkqk import curvature, flat_model
-from hkqk.cli import CHECKS, format_float, main, to_json
+from hkqk import cli, curvature, flat_model
+from hkqk.cli import CHECKS, RunConfig, format_float, main, to_json
+
+# the benchmark's d = 16 verify invocation, without its --seed
+VERIFY_MID = ["verify", "--m", "3", "--c", "1", "--samples", "2"]
 
 
 def run_json(tmp_path, args, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+def invocation_seed(workload_seed, index):
+    """``--seed`` of the benchmark's invocation ``index``: sha256 of "seed:index", 8 bytes little-endian."""
+    digest = hashlib.sha256(f"{workload_seed}:{index}".encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+def failing_rows(out):
+    return [row["name"] for row in json.loads(out.read_text())["results"] if not row["passed"]]
 
 
 class TestConfigValidation:
@@ -163,6 +179,61 @@ class TestVerify:
         by_name = {r["name"]: r for r in payload["results"]}
         assert not by_name["moment_map_f_z"]["passed"]
         assert by_name["moment_map_f_z"]["tolerance"] == 1e-30
+
+
+class TestKnownInputs:
+    @pytest.mark.parametrize("workload_seed,index", [(106, 34), (108, 34), (10, 32), (10, 43),
+                                                     (29, 52)])
+    def test_roundoff_of_large_tensors_passes_structural_rows(self, tmp_path, workload_seed,
+                                                              index):
+        # f_z near 0.1 makes |R~| reach ~1e6: an absolute 1e-10 on the Bianchi sum, the S^q
+        # skewness or the operator symmetry asked for less than one ulp of the terms summed
+        seed = invocation_seed(workload_seed, index)
+        code, out = run_json(tmp_path, VERIFY_MID + ["--seed", str(seed)])
+        assert (code, failing_rows(out)) == (0, [])
+
+    def test_defect_in_units_of_r_tilde_still_fails(self, tmp_path, monkeypatch):
+        closed = cli.corr.rtilde_closed
+
+        def perturbed(geom):
+            rt = closed(geom)
+            rt[0, 1, 2, 3] += 1e-9 * max(1.0, np.abs(rt).max())
+            return rt
+
+        monkeypatch.setattr(cli.corr, "rtilde_closed", perturbed)
+        code, out = run_json(tmp_path, ["verify", "--m", "1", "--c", "1", "--samples", "1"])
+        assert code == 1
+        assert {"rtilde_pair_antisymmetry", "rtilde_pair_symmetry",
+                "rtilde_first_bianchi"} <= set(failing_rows(out))
+
+    def test_ill_conditioned_frame_input_fails_only_the_profile_pair(self, tmp_path):
+        # one of the two frame norms of this input sits at cond(g_h) ~ 3e4
+        code, out = run_json(tmp_path, VERIFY_MID + ["--seed", str(invocation_seed(4, 32))])
+        assert (code, failing_rows(out)) == (1, ["equal_f_z_equal_norm_rel"])
+
+    def test_profile_ties_are_not_against_its_direction(self, tmp_path):
+        # at c = 100 the closed profile rounds to the same value over its first steps
+        code, out = run_json(tmp_path, ["verify", "--m", "0", "--c", "100", "--samples", "2"])
+        rows = {row["name"]: row for row in json.loads(out.read_text())["results"]}
+        assert rows["rho_profile_monotone"] == {**rows["rho_profile_monotone"],
+                                                "max_residual": 0.0, "passed": True}
+        assert (code, failing_rows(out)) == (1, ["s_metric_compatibility"])
+
+    @pytest.mark.parametrize("profile,expected", [
+        (lambda rho: 6.0 + max(0.0, rho - 50.0), 0.0),
+        (lambda rho: 6.0 - max(0.0, rho - 50.0), 0.0),
+        (lambda rho: 6.0 + abs(rho - 50.0), (100.0 - 0.01) / 999),  # one grid step
+        (lambda rho: 6.0, math.inf),
+        (lambda rho: math.nan, math.nan),
+    ])
+    def test_profile_direction_from_first_nonzero_step(self, monkeypatch, profile, expected):
+        monkeypatch.setattr(cli.curv, "curvature_norm_closed",
+                            lambda q, f_z, f_h: profile(2.0 * f_z))
+        residual = cli._profile_residuals(RunConfig(m=0, c=1.0, samples=1))["rho_profile_monotone"]
+        if math.isnan(expected):
+            assert math.isnan(residual)
+        else:
+            assert residual == pytest.approx(expected, rel=1e-3)
 
 
 class TestNorm:

@@ -261,11 +261,12 @@ class TestScalarCurvature:
 class TestNormReport:
     def test_report_fields_and_residuals(self, rng):
         geom = geometry(1, 0.5, rng)
-        report, op = norm_report(geom)
+        report, op, vectors = norm_report(geom)
         # the keys and their order are those of the report that `hkqk norm` prints
         assert list(report) == ["f_z", "f_h", "rho", "norm_frame", "norm_closed", "scal", "nu",
                                 "residuals"]
         assert op.shape == (28, 28)
+        assert vectors.shape == (8, 8)
         assert_allclose(report["rho"], 2.0 * geom.f_z)
         assert_allclose(report["nu"], -1.0, rtol=1e-8)
         assert report["norm_frame"] >= 0.0
