@@ -12,9 +12,12 @@ the module's central cross-check; all functions are pure in the snapshot.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .flat_model import GeometryAt, deformed_metric, geometry_at
+from .flat_model import (ConstantTensors, GeometryAt, ModelParams, constant_tensors,
+                         deformed_metric, geometry_at)
 from .kulkarni import form_obar, form_owedge, form_sum
 from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient
 
@@ -197,7 +200,7 @@ def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return ds + comm - np.einsum("ab,ic->iabc", geom.omega_h, dzsz) / geom.f_h
 
 
-def form_block(geom: GeometryAt, form: np.ndarray, own, turned) -> np.ndarray:
+def form_block(geom: ConstantTensors, form: np.ndarray, own, turned) -> np.ndarray:
     """Curvature-type block own(F, F) + sum_k turned(F_k, F_k), F_k = F(I_k ., .).
 
     The closed curvature route takes (own, turned) = (., .bar.) for the metric
@@ -211,6 +214,22 @@ def form_block(geom: GeometryAt, form: np.ndarray, own, turned) -> np.ndarray:
     return form_sum([(f, f, bar) for f, bar in zip(forms, bars)])
 
 
+# keyed on the whole of params, like constant_tensors; an entry holds 135 kB at m = 7
+@lru_cache(maxsize=64)
+def twist_support(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (flat indices, values) of the support of the twist-form block
+    w_h .bar. w_h + sum_k w_h(I_k.,.) . w_h(I_k.,.), which needs only the constant
+    tensors. Its values are integers and it is +0.0 off the support, so scattering
+    the values into a zero array restores it bit for bit.
+    """
+    consts = constant_tensors(params)
+    block = form_block(consts, consts.omega_h, form_obar, form_owedge).reshape(-1)
+    flat = np.flatnonzero(block)
+    values = block[flat]
+    flat.flags.writeable = values.flags.writeable = False
+    return flat, values
+
+
 def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     """Closed route for the lowered curvature of the twisted deformation:
 
@@ -220,12 +239,14 @@ def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     where . is the symmetric-form product and .bar. the two-form product. The
     general formula has a further term g(R(A,B)C, X)/f_z, which vanishes
     because the undeformed metric is flat.
+
+    The twist block is subtracted on its support only, bit for bit: off it the term
+    is -0.0, which changes only a -0.0, and form_sum writes the metric block's zeros as +0.0.
     """
     rt = form_block(geom, geom.g_h, form_owedge, form_obar)
     rt /= 8.0
-    twist = form_block(geom, geom.omega_h, form_obar, form_owedge)
-    twist /= 8.0 * geom.f_z * geom.f_h
-    rt -= twist
+    flat, values = twist_support(geom.params)
+    rt.reshape(-1)[flat] -= values / (8.0 * geom.f_z * geom.f_h)
     return rt
 
 

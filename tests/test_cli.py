@@ -15,6 +15,9 @@ from hkqk.cli import CHECKS, RunConfig, format_float, main, to_json
 
 # the benchmark's d = 16 verify invocation, without its --seed
 VERIFY_MID = ["verify", "--m", "3", "--c", "1", "--samples", "2"]
+# the benchmark's d = 32 sweep invocation, without its --seed
+SWEEP_LARGE = ["sweep", "--m", "7", "--c", "1", "--rho-min", "0.1", "--rho-max", "10",
+               "--steps", "4"]
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -317,6 +320,43 @@ class TestSweep:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def clear_caches():
+    cli.corr.twist_support.cache_clear()
+    flat_model.constant_tensors.cache_clear()
+
+
+class TestCaches:
+    def test_reports_do_not_depend_on_earlier_commands(self, tmp_path):
+        # the twist support and the constant tensors are cached per parameter set: what
+        # one command leaves in the caches must not change the report of the next
+        commands = [SWEEP_LARGE, ["verify", "--m", "1", "--samples", "1", "--corrupt-omega2"],
+                    ["verify", "--m", "1", "--samples", "1"], SWEEP_LARGE]
+        warm = []
+        for n, args in enumerate(commands):
+            code, out = run_json(tmp_path, args, f"warm{n}")
+            warm.append((code, out.read_bytes()))
+        assert [code for code, _ in warm] == [0, 1, 0, 0]
+        for n, args in enumerate(commands):
+            clear_caches()
+            code, out = run_json(tmp_path, args, f"cold{n}")
+            assert (code, out.read_bytes()) == warm[n]
+
+    def test_sweep_builds_the_twist_block_at_most_once(self, tmp_path, monkeypatch):
+        built = []
+        form_sum = cli.corr.form_sum
+
+        def counted(terms):
+            # the twist block's own product is the two-form product, the metric block's is not
+            built.append("twist" if terms[0][2] else "metric")
+            return form_sum(terms)
+
+        monkeypatch.setattr(cli.corr, "form_sum", counted)
+        clear_caches()
+        for _ in range(2):
+            assert run_json(tmp_path, SWEEP_LARGE)[0] == 0
+        assert (built.count("twist"), built.count("metric")) == (1, 8)
 
 
 class TestDecompose:

@@ -20,8 +20,10 @@ from hkqk.correspondence import (
     term_comm_closed,
     term_ds_closed,
     term_ds_fd,
+    twist_support,
 )
 from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
+from hkqk.kulkarni import form_obar, form_owedge
 from hkqk.pseudo_linear import check_pair_antisymmetry
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
@@ -239,8 +241,6 @@ class TestCurvatureRoutes:
             assert abs(cyclic) < 1e-10 * max(1.0, np.abs(arr).max())
 
     def test_grouped_terms_are_separately_curvature_tensors(self, rng):
-        from hkqk.kulkarni import form_obar, form_owedge
-
         params = ModelParams(1, 1.0)
         geom = geometry_at(params, random_valid_point(params, rng))
         g_h, oh = geom.g_h, geom.omega_h
@@ -281,3 +281,43 @@ class TestCurvatureRoutes:
         d_gh = finite_diff_gradient(lambda cs: deformed_metric(params, cs), point)
         compat = (d_gh - np.einsum("iab,ic->abc", s, gh) - np.einsum("iac,ib->abc", s, gh))
         assert np.abs(compat).max() / max(1.0, np.abs(d_gh).max()) < 1e-5
+
+
+def bits(arr):
+    return arr.view(np.uint64)
+
+
+class TestTwistSupport:
+    """The cached support of the twist-form block stands for the block, bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_scattered_support_is_the_block(self, m, corrupt):
+        params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        block = form_block(geom, geom.omega_h, form_obar, form_owedge)
+        scattered = np.zeros_like(block)
+        np.put(scattered, *twist_support(params))
+        # +0.0 off the support: the sign of every zero matches too
+        assert np.array_equal(bits(scattered), bits(block))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_rtilde_closed_matches_two_block_formula(self, m, c, corrupt):
+        params = ModelParams(m, c, corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(7 * m + 1)))
+        expected = form_block(geom, geom.g_h, form_owedge, form_obar)
+        expected /= 8.0
+        twist = form_block(geom, geom.omega_h, form_obar, form_owedge)
+        twist /= 8.0 * geom.f_z * geom.f_h
+        expected -= twist
+        assert np.array_equal(bits(rtilde_closed(geom)), bits(expected))
+
+    def test_cached_arrays_are_read_only(self):
+        flat, values = twist_support(ModelParams(1, 1.0))
+        for arr in (flat, values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert twist_support(ModelParams(1, 1.0))[1] is values

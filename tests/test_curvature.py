@@ -1,5 +1,7 @@
 """Curvature invariants: operator norm, closed profile, split, scalar curvature."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -121,6 +123,51 @@ class TestPairOnlyOperator:
             defect = check_pair_antisymmetry(proj)
             assert defect == 0.0 if kind != "non_finite" else np.isnan(defect)
             require_pair_antisymmetry(proj)
+
+
+def einsum_in_frame(t, v):
+    """The frame change as one optimized einsum: the reference for quadcov_in_frame."""
+    return np.einsum("abcx,pa,qb,rc,sx->pqrs", t, v, v, v, v, optimize=True)
+
+
+class TestFrameChange:
+    # every family dimension d = 4(m+1), m = 0..9, and one that is not; a batched
+    # v @ y for the middle contractions differed from einsum at d = 20, 28, 36 and 44
+    @pytest.mark.parametrize("kind", TENSOR_KINDS)
+    @pytest.mark.parametrize("d", [4 * (m + 1) for m in range(10)] + [7])
+    def test_matches_einsum_bit_for_bit(self, rng, d, kind):
+        t = special_tensor(rng, d, kind)
+        v = rng.standard_normal((d, d))
+        with np.errstate(invalid="ignore"):
+            got, ref = quadcov_in_frame(t, v), einsum_in_frame(t, v)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert got.strides == ref.strides
+
+
+class TestNanResiduals:
+    """A NaN anywhere in a check's inputs reads NaN on its row, and so fails it."""
+
+    @pytest.mark.parametrize("row", ["k_trace_closed_vs_matrix_rel", "k_trace_vanishing_abs"])
+    def test_k_trace_rows(self, rng, row):
+        geom = geometry(1, 1.0, rng)
+        k = geom.k_compare.copy()
+        k[2, 3] = np.nan
+        assert np.isnan(k_trace_residuals(dataclasses.replace(geom, k_compare=k))[row])
+
+    def test_hk_type_commutator(self, rng):
+        geom = geometry(1, 1.0, rng)
+        _, r1 = alekseevsky_split(geom, rtilde_closed(geom))
+        r1[0, 1, 2, 3] = np.nan
+        assert np.isnan(hk_type_residual(geom, r1, rng))
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_split_invariance(self, rng, j):
+        # the twist block comes from the cache, so the NaN goes into I_j
+        geom = geometry(1, 1.0, rng)
+        i_mu = list(geom.i_mu)
+        i_mu[j] = i_mu[j].copy()
+        i_mu[j][1, 0] = np.nan
+        assert np.isnan(invariance_residual(dataclasses.replace(geom, i_mu=tuple(i_mu))))
 
 
 class TestNormValues:

@@ -47,6 +47,9 @@ CASES = [
     "sweep --m 4 --c 2 --rho-min 0.3 --rho-max 6 --steps 2",
     "sweep --m 5 --c 0.5 --rho-min 0.2 --rho-max 4 --steps 2",
     "norm --m 2 --c 3 --seed 7",
+    "sweep --m 6 --c 1 --rho-min 0.1 --rho-max 10 --steps 2",
+    "norm --m 6 --c 0.5 --seed 2",
+    "decompose --m 4 --c 2 --seed 1",
 ]
 
 
