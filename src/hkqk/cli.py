@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class RunConfig:
             if not (0 < value < math.inf):
                 raise ConfigError(f"tolerance override {name}={value} must be finite and positive")
 
-    @property
+    @cached_property  # one object per config: the constant-tensor caches then hit by identity
     def params(self) -> fm.ModelParams:
         return fm.ModelParams(m=self.m, c=self.c, corrupt_omega2=self.corrupt_omega2)
 
@@ -267,7 +268,7 @@ def _profile_residuals(config: RunConfig) -> dict[str, float]:
         norms = []
         for _ in range(2):
             geom = fm.geometry_at(params, fm.point_with_f_z(params, f_z, rng))
-            norms.append(curv.curvature_norm_frame(geom, corr.rtilde_closed(geom)))
+            norms.append(curv.curvature_norm_frame(geom))
         worst = max(worst, abs(norms[0] - norms[1]) / abs(norms[1]))
     res["equal_f_z_equal_norm_rel"] = worst
 
@@ -475,7 +476,7 @@ def cmd_sweep(config: RunConfig, rho_min: float, rho_max: float, steps: int) -> 
         closed = curv.curvature_norm_closed(params.q, f_z, f_h)
         rng = np.random.default_rng(derived_seed(config.seed, index))
         geom = fm.geometry_at(params, fm.point_with_f_z(params, f_z, rng))
-        frame_value = curv.curvature_norm_frame(geom, corr.rtilde_closed(geom))
+        frame_value = curv.curvature_norm_frame(geom)
         closed_values.append(closed)
         rows.append((rho, f_z, f_h, closed, frame_value))
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .flat_model import (ConstantTensors, GeometryAt, ModelParams, constant_tensors,
                          deformed_metric, geometry_at)
-from .kulkarni import form_obar, form_owedge, form_sum
-from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient
+from .kulkarni import BLOCK_BYTES, form_obar, form_owedge, form_sum
+from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient, require_pair_antisymmetry
 
 
 def s_closed_tensor(geom: GeometryAt) -> np.ndarray:
@@ -203,15 +203,40 @@ def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
 def form_block(geom: ConstantTensors, form: np.ndarray, own, turned) -> np.ndarray:
     """Curvature-type block own(F, F) + sum_k turned(F_k, F_k), F_k = F(I_k ., .).
 
-    The closed curvature route takes (own, turned) = (., .bar.) for the metric
-    g_h and (.bar., .) for the twist form w_h, where . is the symmetric-form
-    product (form_owedge) and .bar. the two-form product (form_obar). The block
-    is written in one pass by form_sum, bit for bit equal to the sum of the
-    four products.
-    """
-    forms = [form] + [geom.i_mu[k].T @ form for k in (1, 2, 3)]
-    bars = [product is form_obar for product in (own, turned, turned, turned)]
-    return form_sum([(f, f, bar) for f, bar in zip(forms, bars)])
+    The closed curvature route takes (own, turned) = (., .bar.) for the metric g_h and
+    (.bar., .) for the twist form w_h, where . is the symmetric-form product (form_owedge)
+    and .bar. the two-form product (form_obar). As I_k is a signed permutation,
+    (F_k . F_k)(A,B,C,X) = eps(A) eps(B) (F . F)(sigma A, sigma B, C, X) exactly. So each
+    turned term is gathered from W = F . F, a .bar. term adds its row of 2 F_k (x) F_k twice
+    after its pair guard, and the terms are summed in form_sum's order. A gathered -0.0
+    turns +0.0 at the next addition: for finite F the block is form_sum's, bit for bit."""
+    d = form.shape[0]
+    own_term = form_sum([(form, form, own is form_obar)]).reshape(d * d, -1)
+    w = own_term if own is form_owedge else form_owedge(form, form).reshape(d * d, -1)
+    turned_forms = [geom.i_mu[k].T @ form for k in (1, 2, 3)]
+    for f in turned_forms if turned is form_obar else ():
+        if not (f == -f.T).all():
+            require_pair_antisymmetry(np.einsum("ab,cx->abcx", f, f))
+    # row A*d + B of a turned term is row sigma(A)*d + sigma(B) of W, negated if eps(A) eps(B) < 0;
+    # take's mode="clip" skips a buffered bounds check, and every index is in range
+    gathers = [((perm[:, None] * d + perm).ravel(), np.outer(sign, sign).reshape(-1, 1) < 0.0)
+               for perm, sign in zip(geom.i_perm[1:], geom.i_sign[1:])]
+    out = np.empty_like(w) if own_term is w else own_term  # turned terms read only W
+    rows = d * min(d, max(1, BLOCK_BYTES // (8 * d ** 3)))
+    t_buf, p_buf = np.empty((2, rows, d * d))
+    for r0 in range(0, d * d, rows):
+        r1 = min(r0 + rows, d * d)
+        t, p = t_buf[: r1 - r0], p_buf[: r1 - r0]
+        for n, (f, (index, flip)) in enumerate(zip(turned_forms, gathers)):
+            np.take(w, index[r0:r1], axis=0, out=t, mode="clip")
+            np.negative(t, out=t, where=flip[r0:r1])
+            if turned is form_obar:
+                np.einsum("ab,cx->abcx", f[r0 // d:r1 // d], f, out=p.reshape(-1, d, d, d))
+                p *= 2.0
+                t += p
+                t += p
+            np.add(out[r0:r1] if n else own_term[r0:r1], t, out=out[r0:r1])
+    return out.reshape((d,) * 4)
 
 
 # keyed on the whole of params, like constant_tensors; an entry holds 135 kB at m = 7
@@ -241,11 +266,11 @@ def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     because the undeformed metric is flat.
 
     The twist block is subtracted on its support only, bit for bit: off it the term
-    is -0.0, which changes only a -0.0, and form_sum writes the metric block's zeros as +0.0.
+    is -0.0, which changes only a -0.0, and the metric block holds no -0.0 (see form_block).
     """
+    flat, values = twist_support(geom.params)  # first: a cold cache builds while no block is held
     rt = form_block(geom, geom.g_h, form_owedge, form_obar)
     rt /= 8.0
-    flat, values = twist_support(geom.params)
     rt.reshape(-1)[flat] -= values / (8.0 * geom.f_z * geom.f_h)
     return rt
 

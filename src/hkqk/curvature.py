@@ -27,45 +27,51 @@ HK_TRIALS = 50
 SPLIT_NU = -1.0
 
 
-def quadcov_in_frame(tensor: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def quadcov_in_frame(tensor: np.ndarray, vectors: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Components of a rank-4 tensor on the frame vectors: the four matrix products
     of einsum("abcx,pa,qb,rc,sx->pqrs", optimize=True) in the same operand roles, bit
     for bit, without its transposing copies. (A batched v @ y for the middle axes
-    is faster, but changes bits at d = 20, 28, 36 and 44.)
-    """
+    is faster, but changes bits at d = 20, 28, 36 and 44.) They alternate between one work
+    array and ``out``, which may be ``tensor``: the first product reads all of it."""
     v = vectors
     d = v.shape[0]
-    y = v @ tensor.reshape(d, -1)
-    for _ in range(3):
-        y = np.matmul(y.reshape(d, d, -1).transpose(0, 2, 1), v.T)
-    return y.reshape((d,) * 4)
+    out = np.empty((d,) * 4) if out is None else out
+    work = np.matmul(v, tensor.reshape(d, -1))
+    for src, dst in ((work, out), (out, work), (work, out)):
+        np.matmul(src.reshape(d, d, -1).transpose(0, 2, 1), v.T, out=dst.reshape(d, -1, d))
+    return out
 
 
 def curvature_operator(in_frame: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """The curvature tensor as an operator on the exterior square.
 
-    Takes the tensor's components ``in_frame`` on an orthonormal frame of the
-    deformed metric with the given signs, so the matrix of a tensor with pair
-    symmetry is symmetric. The change of frame is a linear map, so the
-    components are projected back onto their antisymmetric part in each index
-    pair, discarding pure roundoff from the contraction. Only the pair entries
-    are formed, each with the arithmetic of the full projection; the result is
-    exactly pair-antisymmetric (fl(x - y) = -fl(y - x)), so it needs no guard.
+    Takes the tensor's components ``in_frame`` on an orthonormal frame of the deformed
+    metric with the given signs, so the matrix of a tensor with pair symmetry is symmetric.
+    The change of frame is a linear map, so the components are projected back onto their
+    antisymmetric part in each index pair, discarding pure roundoff from the contraction.
+    Only the pair entries are formed, each with the arithmetic of the full projection: for
+    each a, the rows (or columns) d*a + b with b > a are a slice and their swaps d*b + a a
+    stride. The result is exactly pair-antisymmetric (fl(x - y) = -fl(y - x)): no guard.
     """
-    ab, ba, norms = wedge_pairs(signs)
-    flat = in_frame.reshape(signs.size ** 2, -1)
-    rows = np.subtract(flat[ab], flat[ba])
-    rows *= 0.5
-    # take, not rows[:, ab], whose column-major result would change the operator's layout
-    pairs = np.subtract(rows.take(ab, axis=1), rows.take(ba, axis=1))
-    pairs *= 0.5
+    d = signs.size
+    ii, jj = wedge_pairs(d)
+    norms = signs[ii] * signs[jj]
+    rows, pairs = np.empty((norms.size, d * d)), np.empty((norms.size, norms.size))
+    for src, dst in ((in_frame.reshape(d * d, -1), rows), (rows.T, pairs.T)):
+        for a in range(d - 1):
+            n0 = a * d - a * (a + 1) // 2
+            np.subtract(src[a * d + a + 1:a * d + d], src[a * d + a + d::d],
+                        out=dst[n0:n0 + d - 1 - a])
+        dst *= 0.5
     return norms[:, None] * pairs.T
 
 
-def curvature_norm_frame(geom: GeometryAt, rtilde: np.ndarray) -> float:
-    """Squared operator norm: the trace of the squared curvature operator."""
+def curvature_norm_frame(geom: GeometryAt) -> float:
+    """Squared operator norm of rtilde_closed(geom), whose frame change overwrites it in place."""
+    rtilde = rtilde_closed(geom)
     vectors, signs = pseudo_gram_schmidt(geom.g_h)
-    op = curvature_operator(quadcov_in_frame(rtilde, vectors), signs)
+    op = curvature_operator(quadcov_in_frame(rtilde, vectors, rtilde), signs)
     return compose_trace(op, op)
 
 

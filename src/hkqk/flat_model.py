@@ -69,6 +69,7 @@ class ConstantTensors:
     ``alpha_map`` stacks the transposed omega_mu and ``i_map`` the i_mu into
     (4d, d) matrices, so that one product with a vector V gives all four
     omega_mu(V, .), or all four I_mu V, as the rows of its (4, d) reshape.
+    Each I_mu is a signed permutation, I_mu[i_perm[mu, a], a] = i_sign[mu, a] = +/-1.
     """
 
     g: np.ndarray
@@ -79,6 +80,8 @@ class ConstantTensors:
     i_h: np.ndarray
     alpha_map: np.ndarray
     i_map: np.ndarray
+    i_perm: np.ndarray
+    i_sign: np.ndarray
 
 
 # keyed on the whole of params, c included; bounded so that a loop over many c stays small
@@ -137,9 +140,12 @@ def constant_tensors(params: ModelParams) -> ConstantTensors:
 
     omega_mu = (g, o1, o2, o3)
     i_mu = (np.eye(d), i1, i2, i3)
+    perm = np.abs(np.stack(i_mu)).argmax(axis=1)
+    sign = np.stack(i_mu)[np.arange(4)[:, None], perm, np.arange(d)]
+    assert (np.abs(sign) == 1.0).all() and np.count_nonzero(i_mu) == 4 * d  # signed permutations
     return ConstantTensors(g=g, omega_mu=omega_mu, omega_h=oh, i_mu=i_mu, dz=dz, i_h=ih,
                            alpha_map=np.concatenate([om.T for om in omega_mu]),
-                           i_map=np.concatenate(i_mu))
+                           i_map=np.concatenate(i_mu), i_perm=perm, i_sign=sign)
 
 
 def vector_z(params: ModelParams, coords: np.ndarray) -> np.ndarray:

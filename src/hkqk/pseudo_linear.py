@@ -9,6 +9,7 @@ frame, and all functions are pure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,13 +81,13 @@ def require_pair_antisymmetry(arr: np.ndarray) -> None:
                                        f"{PAIR_ANTISYMMETRY_TOL:.2e} * scale {scale:.2e}")
 
 
-def wedge_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Over the pairs a < b in lexicographic order: the indices a*d + b and b*d + a
-    into the (d*d, d*d) view of a rank-4 tensor, and the wedge norms signs[a] * signs[b].
-    """
-    d = signs.size
+@lru_cache(maxsize=16)
+def wedge_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (a, b) over the pairs a < b in lexicographic order: the wedge basis, with
+    norms s[a] * s[b] on a frame of signs s, and rows a*d + b of a rank-4 tensor's square view."""
     ii, jj = np.triu_indices(d, 1)
-    return ii * d + jj, jj * d + ii, signs[ii] * signs[jj]
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
 
 
 def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -100,8 +101,9 @@ def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
     antisymmetric in both index pairs (``require_pair_antisymmetry``).
     """
     require_pair_antisymmetry(tensor)
-    ab, _, norms = wedge_pairs(signs)
-    return norms[:, None] * tensor.reshape(signs.size ** 2, -1)[np.ix_(ab, ab)].T
+    ii, jj = wedge_pairs(signs.size)
+    ab = ii * signs.size + jj
+    return (signs[ii] * signs[jj])[:, None] * tensor.reshape(signs.size ** 2, -1)[np.ix_(ab, ab)].T
 
 
 def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],

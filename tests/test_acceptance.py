@@ -44,7 +44,7 @@ def test_criterion_1_norm_reproduction():
             params = fm.ModelParams(m, c)
             for point in seeded_points(params, 20, 1):
                 geom = fm.geometry_at(params, point)
-                frame_value = curv.curvature_norm_frame(geom, corr.rtilde_closed(geom))
+                frame_value = curv.curvature_norm_frame(geom)
                 closed_value = curv.curvature_norm_closed(geom.q, geom.f_z, geom.f_h)
                 assert frame_value >= 0.0
                 worst = max(worst, abs(frame_value - closed_value) / closed_value)
@@ -219,7 +219,7 @@ def test_criterion_9_rho_profile():
         worst_const = max(worst_const, np.abs(values0 - expected).max() / expected)
         for point in seeded_points(params0, 3, 9):
             geom = fm.geometry_at(params0, point)
-            frame_value = curv.curvature_norm_frame(geom, corr.rtilde_closed(geom))
+            frame_value = curv.curvature_norm_frame(geom)
             worst_const = max(worst_const, abs(frame_value - expected) / expected)
         for c in (0.5, 1.0):
             values = np.array([curv.curvature_norm_closed(q, r / 2, -r / 2 - c)
@@ -233,7 +233,7 @@ def test_criterion_9_rho_profile():
             norms = []
             for _ in range(2):
                 geom = fm.geometry_at(params, fm.point_with_f_z(params, f_z, rng))
-                norms.append(curv.curvature_norm_frame(geom, corr.rtilde_closed(geom)))
+                norms.append(curv.curvature_norm_frame(geom))
             worst_pairs = max(worst_pairs, abs(norms[0] - norms[1]) / abs(norms[1]))
     ok = worst_const < 1e-9 and worst_pairs < 1e-9 and monotone_ok
     print(f"criterion 9 [radial profile: constant at c=0, strictly monotone for c>0, "

@@ -358,6 +358,27 @@ class TestCaches:
             assert run_json(tmp_path, SWEEP_LARGE)[0] == 0
         assert (built.count("twist"), built.count("metric")) == (1, 8)
 
+    def test_norm_forms_one_metric_product_per_block(self, tmp_path, monkeypatch):
+        # the closed route and the split each build the g_h block, from one product
+        # apiece: two products in all, where the four-term sums made eight
+        products = []
+        form_sum = cli.corr.form_sum
+
+        def counted(terms):
+            if not terms[0][2]:
+                products.append(len(terms))
+            return form_sum(terms)
+
+        monkeypatch.setattr(cli.corr, "form_sum", counted)
+        clear_caches()
+        assert run_json(tmp_path, ["norm", "--m", "3", "--c", "1"])[0] == 0
+        assert products == [1, 1]
+
+    def test_config_builds_its_params_once(self):
+        config = RunConfig(m=3, c=1.0, corrupt_omega2=True)
+        assert config.params is config.params
+        assert config.params == flat_model.ModelParams(3, 1.0, corrupt_omega2=True)
+
 
 class TestDecompose:
     def test_reference_report(self, tmp_path):

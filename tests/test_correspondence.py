@@ -321,3 +321,48 @@ class TestTwistSupport:
             with pytest.raises(ValueError):
                 arr[0] = 0
         assert twist_support(ModelParams(1, 1.0))[1] is values
+
+
+def four_products(geom, form, own, turned):
+    """own(F, F) + turned(F_k, F_k) for k = 1, 2, 3, summed left to right."""
+    block = own(form, form)
+    for k in (1, 2, 3):
+        f = geom.i_mu[k].T @ form
+        block += turned(f, f)
+    return block
+
+
+def point_with_zeros(params, seed):
+    """A domain point whose w coordinates, and z_1.. if any, are exact zeros."""
+    coords = random_valid_point(params, np.random.default_rng(seed))
+    coords[2:] = 0.0
+    return coords
+
+
+class TestFormBlock:
+    """One product per block, gathered by the signed permutations I_k: the sum of four products."""
+
+    @pytest.mark.parametrize("m", range(10))
+    def test_equals_four_products_bit_for_bit(self, m):
+        # d = 4(m+1) = 4..40: rows split into blocks unevenly at several m
+        for c in (0.0, 1.0, 100.0):
+            for corrupt in (False, True):
+                params = ModelParams(m, c, corrupt_omega2=corrupt)
+                for coords in (random_valid_point(params, np.random.default_rng(m)),
+                               point_with_zeros(params, m)):
+                    geom = geometry_at(params, coords)
+                    for form, own, turned in ((geom.g_h, form_owedge, form_obar),
+                                              (geom.omega_h, form_obar, form_owedge)):
+                        got = form_block(geom, form, own, turned)
+                        expected = four_products(geom, form, own, turned)
+                        # uint64 patterns: the sign of every zero matches too
+                        assert np.array_equal(bits(got), bits(expected))
+
+    def test_zero_coordinates_reach_the_block(self):
+        # the exact zeros of point_with_zeros give the metric exact zeros, so the
+        # signed gathers meet +0.0 rows and could leave -0.0 behind
+        params = ModelParams(1, 1.0)
+        geom = geometry_at(params, point_with_zeros(params, 1))
+        assert (geom.g_h == 0.0).any()
+        block = form_block(geom, geom.g_h, form_owedge, form_obar)
+        assert (block == 0.0).any() and not np.signbit(block[block == 0.0]).any()

@@ -1,12 +1,13 @@
 """Curvature invariants: operator norm, closed profile, split, scalar curvature."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hkqk.correspondence import form_block, rtilde_closed
+from hkqk.correspondence import form_block, rtilde_closed, twist_support
 from hkqk.curvature import (
     SPLIT_NU,
     alekseevsky_split,
@@ -25,7 +26,8 @@ from hkqk.curvature import (
 from hkqk.errors import DomainViolation
 from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
 from hkqk.kulkarni import form_obar, form_owedge
-from hkqk.pseudo_linear import check_pair_antisymmetry, pseudo_gram_schmidt, require_pair_antisymmetry
+from hkqk.pseudo_linear import (check_pair_antisymmetry, compose_trace, pseudo_gram_schmidt,
+                                require_pair_antisymmetry)
 
 
 def geometry(m, c, rng):
@@ -143,6 +145,64 @@ class TestFrameChange:
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert got.strides == ref.strides
 
+    @pytest.mark.parametrize("kind", TENSOR_KINDS)
+    @pytest.mark.parametrize("d", [4 * (m + 1) for m in range(10)] + [7])
+    def test_out_may_be_the_input(self, rng, d, kind):
+        # out=None is the test above; here the first product reads all of t before t is written
+        t = special_tensor(rng, d, kind)
+        v = rng.standard_normal((d, d))
+        with np.errstate(invalid="ignore"):
+            ref = einsum_in_frame(t, v)
+            got = quadcov_in_frame(t, v, t)
+        assert got is t
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+class TestNormFrameMemory:
+    """curvature_norm_frame builds R~ itself and changes its frame in place."""
+
+    @pytest.mark.parametrize("m,c", [(0, 1.0), (1, 0.0), (3, 0.5), (7, 1.0)])
+    def test_equals_the_two_step_composition(self, rng, m, c):
+        geom = geometry(m, c, rng)
+        components, signs = in_frame(geom, rtilde_closed(geom))
+        op = curvature_operator(components, signs)
+        assert curvature_norm_frame(geom) == compose_trace(op, op)
+
+    @pytest.mark.parametrize("cold_twist_cache", [False, True])
+    def test_peak_is_two_rank4_arrays_and_one_row_buffer(self, rng, cold_twist_cache):
+        geom = geometry(7, 1.0, rng)
+        curvature_norm_frame(geom)  # fill the caches: twist support, pair indices
+        if cold_twist_cache:
+            # the twist block is then built inside rtilde_closed, before the metric block
+            twist_support.cache_clear()
+        d = geom.d
+        pairs = d * (d - 1) // 2
+        tracemalloc.start()
+        try:
+            curvature_norm_frame(geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 MB of rank-4 arrays, 4 MB of projected rows, and 1 MB for the small buffers
+        assert peak < 8 * (2 * d ** 4 + pairs * d * d) + 2 ** 20
+
+
+class TestSplitBits:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_matches_the_four_product_split(self, m, corrupt):
+        params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        rt = rtilde_closed(geom)
+        block = form_owedge(geom.g_h, geom.g_h)
+        for k in (1, 2, 3):
+            f = geom.i_mu[k].T @ geom.g_h
+            block += form_obar(f, f)
+        r0_ref = -block / 8.0
+        r0, r1 = alekseevsky_split(geom, rt)
+        for got, expected in ((r0, r0_ref), (r1, rt - SPLIT_NU * r0_ref)):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 class TestNanResiduals:
     """A NaN anywhere in a check's inputs reads NaN on its row, and so fails it."""
@@ -175,12 +235,12 @@ class TestNormValues:
         # frozen from the closed profile at f_h = -f_z: q=1 -> 12, q=2 -> 40
         for m, expected in ((0, 12.0), (1, 40.0)):
             geom = geometry(m, 0.0, rng)
-            assert_allclose(curvature_norm_frame(geom, rtilde_closed(geom)),
+            assert_allclose(curvature_norm_frame(geom),
                             expected, rtol=1e-10)
 
     def test_reference_deformed_point(self):
         geom = geometry_at(ModelParams(0, 1.0), np.array([2.0, 0.0, 0.0, 0.0]))
-        value = curvature_norm_frame(geom, rtilde_closed(geom))
+        value = curvature_norm_frame(geom)
         assert_allclose(value, 6.279936, rtol=1e-10)  # 6 + 6 (0.6)^6
 
     def test_closed_profile_reference_values(self):
@@ -201,7 +261,7 @@ class TestNormValues:
     def test_frame_route_matches_closed_profile(self, rng, m, c):
         for _ in range(3):
             geom = geometry(m, c, rng)
-            frame_value = curvature_norm_frame(geom, rtilde_closed(geom))
+            frame_value = curvature_norm_frame(geom)
             closed_value = curvature_norm_closed(geom.q, geom.f_z, geom.f_h)
             assert abs(frame_value - closed_value) / closed_value < 1e-8
 

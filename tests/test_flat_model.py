@@ -74,6 +74,18 @@ class TestConstantTensors:
             for form in (geom.g, geom.g_h, geom.g_alpha):
                 assert np.array_equal(form, form.T)
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_complex_structures_are_recorded_signed_permutations(self, m, corrupt):
+        consts = constant_tensors(ModelParams(m, corrupt_omega2=corrupt))
+        d = 4 * (m + 1)
+        for im, perm, sign in zip(consts.i_mu, consts.i_perm, consts.i_sign):
+            rebuilt = np.zeros((d, d))
+            rebuilt[perm, np.arange(d)] = sign
+            assert np.array_equal(rebuilt, im)
+            assert np.array_equal(np.sort(perm), np.arange(d))
+            assert set(np.abs(sign)) == {1.0}
+
     def test_corruption_hook_breaks_quaternions(self):
         consts = constant_tensors(ModelParams(1, corrupt_omega2=True))
         i1, i2, i3 = consts.i_mu[1:]

@@ -15,6 +15,7 @@ from hkqk.pseudo_linear import (
     pseudo_gram_schmidt,
     quadcov_to_lambda2_op,
     require_pair_antisymmetry,
+    wedge_pairs,
 )
 
 
@@ -276,3 +277,16 @@ class TestFiniteDiff:
         stacked = finite_diff_gradient(lambda c: [f(c) for f in fields], point, order=order)
         separate = [finite_diff_gradient(f, point, order=order) for f in fields]
         assert np.array_equal(stacked, np.stack(separate, axis=1))
+
+
+class TestWedgePairs:
+    @pytest.mark.parametrize("d", [4, 7, 32])
+    def test_cached_indices_are_read_only_and_fresh(self, d):
+        ii, jj = wedge_pairs(d)
+        fresh_ii, fresh_jj = np.triu_indices(d, 1)
+        assert np.array_equal(ii, fresh_ii) and np.array_equal(jj, fresh_jj)
+        for arr in (ii, jj):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert wedge_pairs(d)[0] is ii
