@@ -50,20 +50,25 @@ def curvature_operator(in_frame: np.ndarray, signs: np.ndarray) -> np.ndarray:
     metric with the given signs, so the matrix of a tensor with pair symmetry is symmetric.
     The change of frame is a linear map, so the components are projected back onto their
     antisymmetric part in each index pair, discarding pure roundoff from the contraction.
-    Only the pair entries are formed, each with the arithmetic of the full projection: for
-    each a, the rows (or columns) d*a + b with b > a are a slice and their swaps d*b + a a
-    stride. The result is exactly pair-antisymmetric (fl(x - y) = -fl(y - x)): no guard.
+    Only the pair entries are formed, each with the arithmetic of the full projection.
+    The first pass projects the first index pair: for each a, the rows d*a + b with b > a
+    are a slice and their swaps d*b + a a stride. The second pass projects the second pair
+    of those rows as the difference of two contiguous column gathers, columns d*a + b
+    minus their swaps d*b + a. The result is exactly pair-antisymmetric
+    (fl(x - y) = -fl(y - x)): no guard.
     """
     d = signs.size
     ii, jj = wedge_pairs(d)
     norms = signs[ii] * signs[jj]
-    rows, pairs = np.empty((norms.size, d * d)), np.empty((norms.size, norms.size))
-    for src, dst in ((in_frame.reshape(d * d, -1), rows), (rows.T, pairs.T)):
-        for a in range(d - 1):
-            n0 = a * d - a * (a + 1) // 2
-            np.subtract(src[a * d + a + 1:a * d + d], src[a * d + a + d::d],
-                        out=dst[n0:n0 + d - 1 - a])
-        dst *= 0.5
+    src, rows = in_frame.reshape(d * d, -1), np.empty((norms.size, d * d))
+    for a in range(d - 1):
+        n0 = a * d - a * (a + 1) // 2
+        np.subtract(src[a * d + a + 1:a * d + d], src[a * d + a + d::d],
+                    out=rows[n0:n0 + d - 1 - a])
+    rows *= 0.5
+    pairs = rows.take(ii * d + jj, axis=1)
+    pairs -= rows.take(jj * d + ii, axis=1)
+    pairs *= 0.5
     return norms[:, None] * pairs.T
 
 

@@ -28,8 +28,11 @@ def form_sum(terms: list[tuple[np.ndarray, np.ndarray, bool]]) -> np.ndarray:
     The pair guard of every bar term runs first (see form_obar). The sum is then
     written block by block of leading rows A. Row A of a product reads only row A
     of P and of Q(A,B,C,X) = P(C,X,A,B) = beta(A,B) alpha(C,X), so only those rows
-    are built, by the same einsum as the full P (which writes +0.0, never -0.0,
-    for a zero product); Q's rows are P's if ``beta is alpha``. The first product
+    are built, each entry as one einsum product (which writes +0.0, never -0.0,
+    for a zero product); Q's rows are P's if ``beta is alpha``. For such a term that
+    is not bar, they are built once in the order the sum reads them, as
+    alpha(A,C) alpha(B,X) = P(A,C,B,X), whose swap of the last two axes is P(A,X,B,C);
+    a bar term also reads P(A,B,C,X) itself, so it keeps P's order. The first product
     goes straight into the output block, each later one into a buffer that is
     then added. Every entry is thus formed from the same products, summed in the
     same order, as the full-array products and sums, and agrees bit for bit.
@@ -46,13 +49,19 @@ def form_sum(terms: list[tuple[np.ndarray, np.ndarray, bool]]) -> np.ndarray:
         for n, (alpha, beta, bar) in enumerate(terms):
             blk = t_buf[: a1 - a0] if n else out[a0:a1]
             p = q = p_buf[: a1 - a0]
-            np.einsum("ab,cx->abcx", alpha[a0:a1], beta, out=p)
-            if beta is not alpha:
-                q = q_buf[: a1 - a0]
-                np.einsum("ab,cx->abcx", beta[a0:a1], alpha, out=q)
-            np.subtract(p.transpose(0, 2, 1, 3), p.transpose(0, 2, 3, 1), out=blk)
-            blk += q.transpose(0, 2, 1, 3)
-            blk -= q.transpose(0, 2, 3, 1)
+            if beta is alpha and not bar:
+                np.einsum("ac,bx->abcx", alpha[a0:a1], alpha, out=p)
+                pc, px = qc, qx = p, p.swapaxes(2, 3)
+            else:
+                np.einsum("ab,cx->abcx", alpha[a0:a1], beta, out=p)
+                if beta is not alpha:
+                    q = q_buf[: a1 - a0]
+                    np.einsum("ab,cx->abcx", beta[a0:a1], alpha, out=q)
+                pc, px = p.transpose(0, 2, 1, 3), p.transpose(0, 2, 3, 1)
+                qc, qx = q.transpose(0, 2, 1, 3), q.transpose(0, 2, 3, 1)
+            np.subtract(pc, px, out=blk)
+            blk += qc
+            blk -= qx
             if bar:
                 p *= 2.0
                 blk += p

@@ -33,26 +33,30 @@ def pseudo_gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Starts from the coordinate basis and returns the frame as (vectors, signs):
     ``vectors[a]`` is the a-th frame vector and B(v_a, v_b) = signs[a] * delta_ab,
     each sign +/-1. At each step the remaining candidate with the largest
-    |B(v, v)| is taken; a pivot at or below PIVOT_TOL raises DegenerateMetric.
+    |B(v, v)| is taken; a pivot at or below PIVOT_TOL * max|B_ij| raises DegenerateMetric.
+    The candidates are the rows of one array, kept in order so that a tie goes to the
+    first; each row's norm and update are the gemv and dot of v @ B @ v and w @ (B v).
     """
     d = B.shape[0]
-    remaining = [np.eye(d)[k] for k in range(d)]
+    scale = _max_abs(B)
+    remaining = np.eye(d)
 
     vectors = np.empty((d, d))
     signs = np.empty(d)
     for slot in range(d):
-        norms = np.array([v @ B @ v for v in remaining])
+        norms = np.matmul(np.matmul(remaining[:, None, :], B), remaining[:, :, None])[:, 0, 0]
         k = int(np.argmax(np.abs(norms)))
         norm = norms[k]
-        if abs(norm) <= PIVOT_TOL:
-            raise DegenerateMetric(f"pivot {abs(norm):.2e} at step {slot} "
-                                   f"is below threshold {PIVOT_TOL:.2e}")
-        v = remaining.pop(k) / np.sqrt(abs(norm))
+        if abs(norm) <= PIVOT_TOL * scale:
+            raise DegenerateMetric(f"pivot {abs(norm):.2e} at step {slot} is below threshold "
+                                   f"{PIVOT_TOL:.2e} * scale {scale:.2e}")
+        v = remaining[k] / np.sqrt(abs(norm))
         sign = 1.0 if norm > 0 else -1.0
         vectors[slot] = v
         signs[slot] = sign
-        Bv = B @ v
-        remaining = [w - sign * (w @ Bv) * v for w in remaining]
+        remaining = np.concatenate((remaining[:k], remaining[k + 1:]))
+        dots = np.matmul(remaining[:, None, :], B @ v)[:, 0]
+        remaining = remaining - (sign * dots)[:, None] * v
 
     defect = np.abs(vectors @ B @ vectors.T - np.diag(signs)).max()
     if defect > 1e-10:

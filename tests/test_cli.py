@@ -279,6 +279,16 @@ class TestNorm:
                 assert "point outside the valid domain" in captured.err
                 assert "f_z" in captured.err and "f_h" in captured.err
 
+    @pytest.mark.parametrize("point", ["1e10,0,0,0", "1e12,0,0,0"])
+    def test_far_point_reports(self, tmp_path, point):
+        # g_h scales as 1/f_z: its Gram-Schmidt pivots are 1e-20 and 1e-24 here, far
+        # below any fixed threshold, and far above PIVOT_TOL times the metric's scale
+        code, out = run_json(tmp_path, ["norm", "--m", "0", "--point", point])
+        assert code == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["f_z"] >= 5e19
+        assert report["residuals"]["norm_frame_vs_closed_rel"] < 1e-15
+
     def test_wrong_point_length(self):
         assert main(["norm", "--m", "1", "--point", "1,0,0,0"]) == 2
 

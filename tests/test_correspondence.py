@@ -302,6 +302,16 @@ class TestTwistSupport:
         assert np.array_equal(bits(scattered), bits(block))
 
     @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    def test_support_matches_the_general_product_path(self, m):
+        # a copy as second factor: form_sum's general path, not its same-factor one
+        params = ModelParams(m, 1.0)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        block = four_products(geom, geom.omega_h, general(form_obar), general(form_owedge))
+        scattered = np.zeros_like(block)
+        np.put(scattered, *twist_support(params))
+        assert np.array_equal(bits(scattered), bits(block))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
     @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_rtilde_closed_matches_two_block_formula(self, m, c, corrupt):
@@ -330,6 +340,11 @@ def four_products(geom, form, own, turned):
         f = geom.i_mu[k].T @ form
         block += turned(f, f)
     return block
+
+
+def general(product):
+    """The product with an equal copy as second factor, so form_sum takes its general path."""
+    return lambda alpha, beta: product(alpha, beta.copy())
 
 
 def point_with_zeros(params, seed):

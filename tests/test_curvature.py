@@ -101,8 +101,9 @@ TENSOR_KINDS = ("random", "signed_zeros", "non_finite")
 
 
 class TestPairOnlyOperator:
+    # every family dimension d = 4(m+1), m = 0..9, and one that is not
     @pytest.mark.parametrize("kind", TENSOR_KINDS)
-    @pytest.mark.parametrize("d", (4, 7, 16, 32))
+    @pytest.mark.parametrize("d", [4 * (m + 1) for m in range(10)] + [7])
     def test_matches_projection_then_gather_bit_for_bit(self, rng, d, kind):
         t = special_tensor(rng, d, kind)
         signs = np.where(rng.random(d) < 0.3, -1.0, 1.0)
@@ -202,6 +203,19 @@ class TestSplitBits:
         r0, r1 = alekseevsky_split(geom, rt)
         for got, expected in ((r0, r0_ref), (r1, rt - SPLIT_NU * r0_ref)):
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_matches_the_general_product_path(self, m, corrupt):
+        # a copy as second factor: form_sum's general path, not its same-factor one
+        params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        block = form_owedge(geom.g_h, geom.g_h.copy())
+        for k in (1, 2, 3):
+            f = geom.i_mu[k].T @ geom.g_h
+            block += form_obar(f, f.copy())
+        r0, _ = alekseevsky_split(geom, rtilde_closed(geom))
+        assert np.array_equal(r0.view(np.uint64), (-block / 8.0).view(np.uint64))
 
 
 class TestNanResiduals:

@@ -214,6 +214,48 @@ class TestFormSum:
                          reference_sum([(j, j, True), (np.eye(4), np.eye(4), False)]))
 
 
+def special_form(rng, d, sign, kind):
+    """A form a + sign a^T holding exact +0.0 and -0.0, or also +-inf and NaN."""
+    a = rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 0.3] = 0.0
+    a = a + sign * a.T
+    zeros = rng.random((d, d)) < 0.3
+    a[zeros] = -0.0
+    a[zeros.T] = -0.0 if sign > 0 else 0.0
+    if kind == "non_finite":
+        for value in (np.inf, -np.inf, np.nan):
+            hit = rng.random((d, d)) < 0.05
+            a[hit] = value
+            a[hit.T] = sign * value
+    return a
+
+
+def product_or_error(product, alpha, beta):
+    try:
+        with np.errstate(invalid="ignore"):
+            return product(alpha, beta)
+    except PairAntisymmetryViolated as exc:
+        return str(exc)
+
+
+class TestSameFactorPath:
+    """``beta is alpha`` builds one product per row block (an owedge term in output order);
+    an equal copy as second factor takes the general path, with two."""
+
+    @pytest.mark.parametrize("kind", ("signed_zeros", "non_finite"))
+    @pytest.mark.parametrize("d", (4, 7, 16, 32))
+    @pytest.mark.parametrize("product,sign", ((form_owedge, 1.0), (form_obar, -1.0)))
+    def test_matches_general_path_bit_for_bit(self, rng, d, kind, product, sign):
+        alpha = special_form(rng, d, sign, kind)
+        assert (alpha == 0.0).any() and np.signbit(alpha[alpha == 0.0]).any()
+        got = product_or_error(product, alpha, alpha)
+        ref = product_or_error(product, alpha, alpha.copy())
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 class TestObarGuard:
     @pytest.fixture
     def guard_calls(self, monkeypatch):

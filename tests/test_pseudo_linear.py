@@ -9,6 +9,7 @@ from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViola
 from hkqk.flat_model import ModelParams, deformed_metric, geometry_at, random_valid_point, scalars
 from hkqk.kulkarni import adjoint_defect, form_obar, form_owedge
 from hkqk.pseudo_linear import (
+    PIVOT_TOL,
     check_pair_antisymmetry,
     compose_trace,
     finite_diff_gradient,
@@ -55,6 +56,94 @@ class TestPseudoGramSchmidt:
     def test_pivoting_takes_largest_norm_first(self):
         vectors, _ = pseudo_gram_schmidt(np.diag([1.0, 9.0]))
         assert_allclose(vectors[0], [0.0, 1.0 / 3.0])
+
+
+    def test_pivot_threshold_is_relative_to_the_metric(self):
+        # g_h scales as 1/f_z, so a far point's metric has pivots of 1e-20 and below
+        tiny = 1e-20 * signature_form(3, negatives=1)
+        vectors, signs = pseudo_gram_schmidt(tiny)
+        assert_allclose(vectors @ tiny @ vectors.T, np.diag(signs), atol=1e-14)
+        with pytest.raises(DegenerateMetric) as exc:
+            pseudo_gram_schmidt(1e-20 * np.diag([1.0, 0.0]))
+        assert str(exc.value) == ("pivot 0.00e+00 at step 1 is below threshold "
+                                  "1.00e-10 * scale 1.00e-20")
+        with pytest.raises(DegenerateMetric):
+            pseudo_gram_schmidt(np.diag([1e12, 1e1]))
+
+
+def list_gram_schmidt(B):
+    """The frame from one candidate vector at a time, each in a Python list: the
+    reference for the stacked pseudo_gram_schmidt, with the same pivot threshold."""
+    d = B.shape[0]
+    scale = np.abs(B).max()
+    remaining = [np.eye(d)[k] for k in range(d)]
+    vectors = np.empty((d, d))
+    signs = np.empty(d)
+    for slot in range(d):
+        norms = np.array([v @ B @ v for v in remaining])
+        k = int(np.argmax(np.abs(norms)))
+        norm = norms[k]
+        if abs(norm) <= PIVOT_TOL * scale:
+            raise DegenerateMetric(f"pivot {abs(norm):.2e} at step {slot} is below threshold "
+                                   f"{PIVOT_TOL:.2e} * scale {scale:.2e}")
+        v = remaining.pop(k) / np.sqrt(abs(norm))
+        sign = 1.0 if norm > 0 else -1.0
+        vectors[slot] = v
+        signs[slot] = sign
+        Bv = B @ v
+        remaining = [w - sign * (w @ Bv) * v for w in remaining]
+    defect = np.abs(vectors @ B @ vectors.T - np.diag(signs)).max()
+    if defect > 1e-10:
+        raise DegenerateMetric(f"orthonormalization defect {defect:.2e} exceeds 1e-10")
+    return vectors, signs
+
+
+def frame_or_error(gram_schmidt, metric):
+    try:
+        return gram_schmidt(metric)
+    except DegenerateMetric as exc:
+        return str(exc)
+
+
+def gram_schmidt_cases(rng, d):
+    """Metrics at dimension d: the identity (every pivot a tie), random metrics with
+    0, 1 and d/2 negative directions, those scaled far from 1, and degenerate ones."""
+    yield np.eye(d)
+    for negatives in sorted({0, 1, d // 2}):
+        q = rng.standard_normal((d, d))
+        metric = q.T @ signature_form(d, negatives) @ q
+        metric = (metric + metric.T) / 2.0
+        yield metric
+        yield 1e-20 * metric
+        yield 1e12 * metric
+        metric = metric.copy()  # rank d - 1: equal first two rows and columns
+        metric[0] = metric[1]
+        metric[:, 0] = metric[:, 1]
+        yield metric
+    yield np.diag(np.arange(d, dtype=float))
+    yield np.zeros((d, d))
+    if d % 4 == 0:
+        params = ModelParams(d // 4 - 1, 1.0)
+        for _ in range(3):
+            yield geometry_at(params, random_valid_point(params, rng)).g_h
+
+
+class TestStackedGramSchmidt:
+    # every family dimension d = 4(m+1), m = 0..9, and three that are not
+    @pytest.mark.parametrize("d", [4 * (m + 1) for m in range(10)] + [2, 3, 7])
+    def test_matches_list_version_bit_for_bit(self, rng, d):
+        raised = 0
+        for metric in gram_schmidt_cases(rng, d):
+            got = frame_or_error(pseudo_gram_schmidt, metric)
+            ref = frame_or_error(list_gram_schmidt, metric)
+            if isinstance(ref, str):
+                raised += 1
+                assert got == ref
+                continue
+            for a, b in zip(got, ref):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        # the zero metric, the singular diagonal and the three rank-deficient metrics
+        assert raised >= 4
 
 
 class TestAdjoint:
