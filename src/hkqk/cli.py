@@ -226,8 +226,8 @@ def _kulkarni_residuals(config: RunConfig) -> dict[str, float]:
         two_form = _random_form(rng, d, -1.0)
         for name, arr in (("kn_owedge_curvature_symmetries", owedge),
                           ("kn_obar_curvature_symmetries", kn.form_obar(two_form, two_form))):
-            res[name] = max(res[name],
-                            max(_curvature_type_defects(arr)) / max(1.0, np.abs(arr).max()))
+            res[name] = float(np.maximum(res[name], np.max(_curvature_type_defects(arr))
+                                         / max(1.0, np.abs(arr).max())))
 
     for d in (4, 8, 12):
         for signature in ("euclidean", "split"):
@@ -253,7 +253,7 @@ def _kulkarni_residuals(config: RunConfig) -> dict[str, float]:
                 )
                 for name, closed, brute in pairs:
                     rel = abs(closed - brute) / max(1.0, abs(brute))
-                    res[name] = max(res[name], rel)
+                    res[name] = float(np.maximum(res[name], rel))
     return res
 
 
@@ -269,7 +269,7 @@ def _profile_residuals(config: RunConfig) -> dict[str, float]:
         for _ in range(2):
             geom = fm.geometry_at(params, fm.point_with_f_z(params, f_z, rng))
             norms.append(curv.curvature_norm_frame(geom))
-        worst = max(worst, abs(norms[0] - norms[1]) / abs(norms[1]))
+        worst = float(np.maximum(worst, abs(norms[0] - norms[1]) / abs(norms[1])))
     res["equal_f_z_equal_norm_rel"] = worst
 
     grid = np.linspace(0.01, 100.0, 1000)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flat_model import (ConstantTensors, GeometryAt, ModelParams, constant_tensors,
-                         deformed_metric, geometry_at)
+                         deformed_metric, geometry_at, sum_outer_groups)
 from .kulkarni import BLOCK_BYTES, form_obar, form_owedge, form_sum
 from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient, require_pair_antisymmetry
 
@@ -88,67 +88,58 @@ def term_ds_closed(geom: GeometryAt) -> np.ndarray:
     Returned as arr[i, a, b, c]. The curvature of the undeformed metric would
     enter one term; the family is flat, so that term is absent.
     """
-    d = geom.d
-    f_z, f_h = geom.f_z, geom.f_h
-    g, i_h, oh, dz, z = geom.g, geom.i_h, geom.omega_h, geom.dz, geom.z_rot
-    i1 = geom.i_mu[1]
-    ohz = oh.T @ z              # omega_h(Z, a)
-    a1 = geom.alpha[1]
+    return sum_outer_groups(geom, _ds_groups)
 
-    out = np.zeros((d,) * 4)
-    for mu in range(4):
-        im = geom.i_mu[mu]
-        om = geom.omega_mu[mu]
-        w = (im @ i_h).T @ g    # omega_mu(I_h b, c)
-        v = g @ (im @ (i1 @ z))  # g(I_mu I_1 Z, a)
-        p = (im @ (i1 @ i_h)).T @ g
-        im_z = im @ z
-        im_dz = im @ dz
-        out += 0.5 / f_h ** 2 * (np.einsum("a,bc,i->iabc", ohz, w, im_z)
-                                 - np.einsum("b,ac,i->iabc", ohz, w, im_z))
-        out += 0.5 / f_z ** 2 * (np.einsum("a,b,ic->iabc", a1, v, im)
-                                 + np.einsum("a,c,ib->iabc", a1, v, im)
-                                 - np.einsum("b,a,ic->iabc", a1, v, im)
-                                 - np.einsum("b,c,ia->iabc", a1, v, im))
-        out += 0.5 / f_h * (np.einsum("bc,ia->iabc", w, im_dz)
-                            - np.einsum("ac,ib->iabc", w, im_dz))
-        out += 0.25 / f_z * (np.einsum("ac,ib->iabc", p + om, im)
-                             - np.einsum("bc,ia->iabc", p + om, im)
-                             + np.einsum("ab,ic->iabc", om - om.T, im))
-    out -= 0.5 / f_z * np.einsum("ab,ic->iabc", oh, i1)
-    return out
+
+def _ds_groups(geom, z, f_z, f_h, g_zz):
+    """Groups of term_ds_closed; every operand entry is one signed coordinate or constant, exact."""
+    g, i_h, oh, dz = geom.g, geom.i_h, geom.omega_h, geom.dz
+    im, om = np.stack(geom.i_mu), np.stack(geom.omega_mu)
+    i1 = geom.i_mu[1]
+    ohz = oh.T @ z                             # omega_h(Z, a)
+    a1 = geom.omega_mu[1].T @ z                # alpha_1
+    w = np.swapaxes(im @ i_h, 1, 2) @ g        # [mu] omega_mu(I_h b, c)
+    v = im @ (i1 @ z) @ g                      # [mu] g(I_mu I_1 Z, a)
+    p_om = np.swapaxes(im @ (i1 @ i_h), 1, 2) @ g + om
+    im_z, im_dz = im @ z, im @ dz
+    yield "m", (
+        (lambda t: 0.5 / f_h ** 2 * (t[0] - t[1]), (("a,mbc,mi", ohz, w, im_z),
+                                                    ("b,mac,mi", ohz, w, im_z))),
+        (lambda t: 0.5 / f_z ** 2 * (t[0] + t[1] - t[2] - t[3]), (
+            ("a,mb,mic", a1, v, im), ("a,mc,mib", a1, v, im), ("b,ma,mic", a1, v, im),
+            ("b,mc,mia", a1, v, im))),
+        (lambda t: 0.5 / f_h * (t[0] - t[1]), (("mbc,mia", w, im_dz), ("mac,mib", w, im_dz))),
+        (lambda t: 0.25 / f_z * (t[0] - t[1] + t[2]), (
+            ("mac,mib", p_om, im), ("mbc,mia", p_om, im),
+            ("mab,mic", om - np.swapaxes(om, 1, 2), im))))
+    yield "", ((lambda t: -(0.5 / f_z * t[0]), (("ab,ic", oh, i1),)),)
 
 
 def term_comm_closed(geom: GeometryAt) -> np.ndarray:
     """Closed expression for the commutator [S_A, S_B] C, as arr[i, a, b, c]."""
-    d = geom.d
-    f_z, f_h = geom.f_z, geom.f_h
-    g, i_h, oh, z = geom.g, geom.i_h, geom.omega_h, geom.z_rot
+    return sum_outer_groups(geom, _comm_groups)
+
+
+def _comm_groups(geom, z, f_z, f_h, g_zz):
+    """Groups of term_comm_closed; every operand entry is one signed coordinate or constant, exact."""
+    g, i_h, oh = geom.g, geom.i_h, geom.omega_h
+    im = np.stack(geom.i_mu)
     i1 = geom.i_mu[1]
-
-    u = [(im @ i_h).T @ (g @ z) for im in geom.i_mu]      # g(I_mu I_h a, Z)
-    w = [(im @ i_h).T @ g for im in geom.i_mu]            # g(I_mu I_h b, c)
-    v = [g @ (im @ (i1 @ z)) for im in geom.i_mu]         # g(I_mu I_1 Z, a)
-
-    out = np.zeros((d,) * 4)
-    for mu in range(4):
-        for lam in range(4):
-            i_lm = geom.i_mu[lam] @ geom.i_mu[mu]
-            i_ml = geom.i_mu[mu] @ geom.i_mu[lam]
-            i_lm_z = i_lm @ z
-            out += 0.25 / f_h ** 2 * (np.einsum("a,bc,i->iabc", u[mu], w[lam], i_lm_z)
-                                      - np.einsum("b,ac,i->iabc", u[mu], w[lam], i_lm_z))
-            out += 0.25 / f_z ** 2 * (np.einsum("a,b,ic->iabc", v[mu], v[lam], i_ml)
-                                      - np.einsum("b,a,ic->iabc", v[mu], v[lam], i_ml)
-                                      + np.einsum("b,c,ia->iabc", v[mu], v[lam], i_lm)
-                                      - np.einsum("a,c,ib->iabc", v[mu], v[lam], i_lm))
-    for mu in range(4):
-        im_i1 = geom.i_mu[mu] @ i1
-        out += 0.25 / (f_z * f_h) * (
-            2.0 * np.einsum("ab,c,i->iabc", oh, v[mu], geom.i_mu[mu] @ z)
-            - geom.g_zz * (np.einsum("bc,ia->iabc", w[mu], im_i1)
-                           - np.einsum("ac,ib->iabc", w[mu], im_i1)))
-    return out
+    w = np.swapaxes(im @ i_h, 1, 2) @ g        # [mu] g(I_mu I_h b, c)
+    u = w @ z                                  # [mu] g(I_mu I_h a, Z)
+    v = im @ (i1 @ z) @ g                      # [mu] g(I_mu I_1 Z, a)
+    i_lm = im[None] @ im[:, None]              # [mu, lam] I_lam I_mu
+    i_ml = np.swapaxes(i_lm, 0, 1)             # [mu, lam] I_mu I_lam
+    i_lm_z = i_lm @ z
+    yield "ml", (
+        (lambda t: 0.25 / f_h ** 2 * (t[0] - t[1]), (("ma,lbc,mli", u, w, i_lm_z),
+                                                     ("mb,lac,mli", u, w, i_lm_z))),
+        (lambda t: 0.25 / f_z ** 2 * (t[0] - t[1] + t[2] - t[3]), (
+            ("ma,lb,mlic", v, v, i_ml), ("mb,la,mlic", v, v, i_ml),
+            ("mb,lc,mlia", v, v, i_lm), ("ma,lc,mlib", v, v, i_lm))))
+    im_i1 = im @ i1
+    yield "m", ((lambda t: 0.25 / (f_z * f_h) * (2.0 * t[0] - g_zz * (t[1] - t[2])), (
+        ("ab,mc,mi", oh, v, im @ z), ("mbc,mia", w, im_i1), ("mac,mib", w, im_i1))),)
 
 
 def dz_plus_sz_closed(geom: GeometryAt) -> np.ndarray:

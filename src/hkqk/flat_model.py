@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import zip_longest
+from operator import mul
 
 import numpy as np
 
 from .errors import DomainViolation
+from .kulkarni import BLOCK_BYTES
 from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient
 
 DOMAIN_EPS = 1e-8
@@ -351,17 +354,94 @@ def sum_identity_residual(geom: GeometryAt) -> float:
 
     sum_mu (omega_mu(D_A Z, B) - omega_mu(D_B Z, A)) I_mu I_1 C
       = -1/2 sum_mu (omega_mu(A,B) - omega_mu(B,A)) I_mu C + omega_h(A,B) I_1 C
+
+    Each entry of either side sums a few products of 1/2, 1 and 2, exactly in any order.
     """
-    dz = geom.dz
-    i1 = geom.i_mu[1]
-    lhs = np.zeros((geom.d,) * 4)
-    rhs = np.zeros((geom.d,) * 4)
-    for mu in range(4):
-        m = dz.T @ geom.omega_mu[mu]
-        lhs += np.einsum("ab,ic->iabc", m - m.T, geom.i_mu[mu] @ i1)
-        rhs -= 0.5 * np.einsum("ab,ic->iabc", geom.omega_mu[mu] - geom.omega_mu[mu].T, geom.i_mu[mu])
-    rhs += np.einsum("ab,ic->iabc", geom.omega_h, i1)
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(sum_outer_groups(geom, _sum_identity_defect)).max())
+
+
+def _sum_identity_defect(geom, *_):
+    jac, om = geom.dz.T @ np.stack(geom.omega_mu), np.stack(geom.omega_mu)  # jac: omega_mu(D_A Z, B)
+    im = np.stack(geom.i_mu)
+    yield "m", ((lambda t: t[0] + 0.5 * t[1], (
+        ("mab,mic", jac - np.swapaxes(jac, 1, 2), im @ geom.i_mu[1]),
+        ("mab,mic", om - np.swapaxes(om, 1, 2), im))),)
+    yield "", ((lambda t: -t[0], (("ab,ic", geom.omega_h, geom.i_mu[1]),)),)
+
+
+def sum_outer_groups(geom: GeometryAt, groups) -> np.ndarray:
+    """The sum over groups(geom, Z, f_z, f_h, g(Z, Z)) as arr[i, a, b, c], bit for bit as
+    ``for mu: for lam: for family: arr += combine([t_0, ...])`` adds it (see README).
+
+    groups yields loops (letters, families) of families (combine, terms); a term (subs,
+    *operands) is t = einsum(subs + "->iabc", *operands), and the group letters m, l index
+    leading operand axes. Each group is formed on its structural support only.
+    """
+    supports = outer_supports(groups, geom.params.m)  # first: a cold cache builds before out exists
+    out = np.zeros(geom.d ** 4)
+    for (_, families), (flat, starts, tables) in zip(
+            groups(geom, geom.z_rot, geom.f_z, geom.f_h, geom.g_zz), supports):
+        step = max(1, BLOCK_BYTES * (len(starts) - 1) // (8 * flat.size + 8))  # groups per block
+        for k in range(0, len(starts) - 1, step):
+            lo, hi = starts[k], starts[min(k + step, len(starts) - 1)]
+            values = np.zeros(hi - lo + 1)  # the last entry takes the padded products
+            for (combine, terms), family in zip(families, tables):
+                t = [np.zeros(hi - lo + 1) for _ in terms]
+                for x, (_, *ops), (gathers, positions) in zip(t, terms, family):
+                    product = reduce(mul, [np.take(op, g[k:k + step]) for op, g in zip(ops, gathers)])
+                    np.put(x, positions[k:k + step] - lo, product, mode="clip")
+                values += combine(t)  # +/-0 on the other families' entries
+            np.add.at(out, flat[lo:hi], values[:-1])
+    return out.reshape((geom.d,) * 4)
+
+
+def _padded(rows, fill):
+    return np.array(list(zip_longest(*rows, fillvalue=fill)), dtype=np.intp).T
+
+
+# keyed on m alone: c changes no operand, and corrupt_omega2 turns whole operands, no pattern
+@lru_cache(maxsize=64)
+def outer_supports(groups, m: int) -> tuple:
+    """Read-only (flat, starts, tables) per loop of ``sum_outer_groups``: each support entry's
+    out index, in summation order; where each group's entries start; and per term and
+    operand the operand's nonzeros in each group, padded and shaped to broadcast, with each
+    product's entry (past the end if padded). The nonzeros come from the constant tensors
+    and a Z that is 1 on the z-block and 0 off it; each Z-dependent operand is a signed
+    permutation of Z, so it is 0 off that pattern at every point.
+    """
+    params = ModelParams(m)
+    d, size = params.d, params.d ** 4
+    loops = []
+    for letters, families in groups(constant_tensors(params), (np.arange(d) < 2 * params.q) * 1.0,
+                                    1.0, 1.0, 1.0):
+        grid = [dict(zip(letters, k)) for k in np.ndindex((4,) * len(letters))]
+        bound = len(grid) * len(families) * size  # of the keys (group, family, out index)
+        terms = []
+        for f, (_, family_terms) in enumerate(families):
+            for subs, *ops in family_terms:
+                subs, gathers = subs.split(","), []
+                key = (np.arange(len(grid)) * len(families) + f).reshape(-1, *(1,) * len(subs)) * size
+                for j, (sub, op) in enumerate(zip(subs, ops)):
+                    n = sum(x in letters for x in sub)
+                    heads = [tuple(map(g.get, sub[:n])) for g in grid]
+                    nz = [np.nonzero(op[h]) for h in heads]
+                    shape = (len(grid),) + (1,) * j + (-1,) + (1,) * (len(subs) - 1 - j)
+                    gathers.append(_padded([np.ravel_multi_index(h + x, op.shape)
+                                            for h, x in zip(heads, nz)], 0).reshape(shape))
+                    key = key + _padded([np.ravel_multi_index([dict(zip(sub[n:], x)).get(k, 0)
+                                                               for k in "iabc"], (d,) * 4)
+                                         for x in nz], bound).reshape(shape)
+                terms.append((f, gathers, key.reshape(len(grid), -1).astype(np.min_scalar_type(bound))))
+        keys = np.sort(np.concatenate([key[key < bound] for _, _, key in terms]))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]  # np.unique, without its slow hash pass
+        tables = tuple(tuple((tuple(gathers), np.where(key < bound, np.searchsorted(keys, key),
+                                                       keys.size).astype(np.min_scalar_type(keys.size)))
+                             for f2, gathers, key in terms if f2 == f) for f in range(len(families)))
+        starts = np.searchsorted(keys, np.arange(len(grid) + 1) * len(families) * size)
+        loops.append(((keys % size).astype(np.min_scalar_type(size)), starts, tables))
+        for arr in (loops[-1][0], *(a for fam in tables for gs, pos in fam for a in (*gs, pos))):
+            arr.flags.writeable = False
+    return tuple(loops)
 
 
 def structural_residuals(geom: GeometryAt) -> dict[str, float]:
@@ -380,21 +460,22 @@ def structural_residuals(geom: GeometryAt) -> dict[str, float]:
     g, g_h = geom.g, geom.g_h
 
     res: dict[str, float] = {}
-    res["quaternion_relations"] = float(max(
+    # np.max keeps a NaN, which then fails its row; max() would drop it
+    res["quaternion_relations"] = float(np.max([
         np.abs(i1 @ i2 - i3).max(),
         np.abs(i2 @ i3 - i1).max(),
         np.abs(i3 @ i1 - i2).max(),
-        max(np.abs(i @ i + eye).max() for i in (i1, i2, i3)),
-    ))
-    res["omega_mu_is_lowered_i_mu"] = float(max(
-        np.abs(im.T @ g - om).max() for im, om in zip(geom.i_mu, geom.omega_mu)))
+        *(np.abs(i @ i + eye).max() for i in (i1, i2, i3)),
+    ]))
+    res["omega_mu_is_lowered_i_mu"] = float(np.max([
+        np.abs(im.T @ g - om).max() for im, om in zip(geom.i_mu, geom.omega_mu)]))
     res["i_h_squared_plus_id"] = float(np.abs(i_h @ i_h + eye).max())
     res["twist_form_is_lowered_i_h"] = float(np.abs(i_h.T @ g - geom.omega_h).max())
-    res["pairwise_commutation"] = float(max(
+    res["pairwise_commutation"] = float(np.max([
         np.abs(a @ b - b @ a).max()
         for a in (k, i_h)
         for b in (i1, i2, i3, i_h, k)
-    ))
+    ]))
     res["k_g_self_adjoint"] = float(np.abs(g @ k - (g @ k).T).max())
     res["i_h_g_skew"] = float(np.abs(g @ i_h + (g @ i_h).T).max())
     res["k_carries_gh_to_g"] = float(np.abs(k.T @ g_h - g).max())
@@ -421,4 +502,4 @@ def omega_identities_residual(geom: GeometryAt) -> float:
     defects.append(2.0 * o3 - (n[2] - n[2].T))
     defects.append(2.0 * (dz.T @ o3 + o3 @ dz) + 2.0 * o2)
     defects.append(-2.0 * o2 - (n[3] - n[3].T))
-    return float(max(np.abs(m).max() for m in defects))
+    return float(np.max([np.abs(m).max() for m in defects]))

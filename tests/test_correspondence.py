@@ -1,12 +1,14 @@
 """Connection correction and curvature routes: closed vs defining computations."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hkqk.correspondence import (
+    _comm_groups,
     dz_plus_sz_closed,
     form_block,
     rtilde_closed,
@@ -22,7 +24,8 @@ from hkqk.correspondence import (
     term_ds_fd,
     twist_support,
 )
-from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
+from hkqk.flat_model import (DOMAIN_EPS, ModelParams, geometry_at, outer_supports,
+                             point_with_f_z, random_valid_point)
 from hkqk.kulkarni import form_obar, form_owedge
 from hkqk.pseudo_linear import check_pair_antisymmetry
 
@@ -381,3 +384,128 @@ class TestFormBlock:
         assert (geom.g_h == 0.0).any()
         block = form_block(geom, geom.g_h, form_owedge, form_obar)
         assert (block == 0.0).any() and not np.signbit(block[block == 0.0]).any()
+
+
+def dense_term_ds(geom):
+    """term_ds_closed as a sum of dense einsum outer products: the reference of the support route."""
+    d = geom.d
+    f_z, f_h = geom.f_z, geom.f_h
+    g, i_h, oh, dz, z = geom.g, geom.i_h, geom.omega_h, geom.dz, geom.z_rot
+    i1 = geom.i_mu[1]
+    ohz = oh.T @ z
+    a1 = geom.alpha[1]
+    out = np.zeros((d,) * 4)
+    for mu in range(4):
+        im = geom.i_mu[mu]
+        om = geom.omega_mu[mu]
+        w = (im @ i_h).T @ g
+        v = g @ (im @ (i1 @ z))
+        p = (im @ (i1 @ i_h)).T @ g
+        im_z = im @ z
+        im_dz = im @ dz
+        out += 0.5 / f_h ** 2 * (np.einsum("a,bc,i->iabc", ohz, w, im_z)
+                                 - np.einsum("b,ac,i->iabc", ohz, w, im_z))
+        out += 0.5 / f_z ** 2 * (np.einsum("a,b,ic->iabc", a1, v, im)
+                                 + np.einsum("a,c,ib->iabc", a1, v, im)
+                                 - np.einsum("b,a,ic->iabc", a1, v, im)
+                                 - np.einsum("b,c,ia->iabc", a1, v, im))
+        out += 0.5 / f_h * (np.einsum("bc,ia->iabc", w, im_dz)
+                            - np.einsum("ac,ib->iabc", w, im_dz))
+        out += 0.25 / f_z * (np.einsum("ac,ib->iabc", p + om, im)
+                             - np.einsum("bc,ia->iabc", p + om, im)
+                             + np.einsum("ab,ic->iabc", om - om.T, im))
+    out -= 0.5 / f_z * np.einsum("ab,ic->iabc", oh, i1)
+    return out
+
+
+def dense_term_comm(geom):
+    """term_comm_closed as a sum of dense einsum outer products: the reference of the support route."""
+    d = geom.d
+    f_z, f_h = geom.f_z, geom.f_h
+    g, i_h, oh, z = geom.g, geom.i_h, geom.omega_h, geom.z_rot
+    i1 = geom.i_mu[1]
+    u = [(im @ i_h).T @ (g @ z) for im in geom.i_mu]
+    w = [(im @ i_h).T @ g for im in geom.i_mu]
+    v = [g @ (im @ (i1 @ z)) for im in geom.i_mu]
+    out = np.zeros((d,) * 4)
+    for mu in range(4):
+        for lam in range(4):
+            i_lm = geom.i_mu[lam] @ geom.i_mu[mu]
+            i_ml = geom.i_mu[mu] @ geom.i_mu[lam]
+            i_lm_z = i_lm @ z
+            out += 0.25 / f_h ** 2 * (np.einsum("a,bc,i->iabc", u[mu], w[lam], i_lm_z)
+                                      - np.einsum("b,ac,i->iabc", u[mu], w[lam], i_lm_z))
+            out += 0.25 / f_z ** 2 * (np.einsum("a,b,ic->iabc", v[mu], v[lam], i_ml)
+                                      - np.einsum("b,a,ic->iabc", v[mu], v[lam], i_ml)
+                                      + np.einsum("b,c,ia->iabc", v[mu], v[lam], i_lm)
+                                      - np.einsum("a,c,ib->iabc", v[mu], v[lam], i_lm))
+    for mu in range(4):
+        im_i1 = geom.i_mu[mu] @ i1
+        out += 0.25 / (f_z * f_h) * (
+            2.0 * np.einsum("ab,c,i->iabc", oh, v[mu], geom.i_mu[mu] @ z)
+            - geom.g_zz * (np.einsum("bc,ia->iabc", w[mu], im_i1)
+                           - np.einsum("ac,ib->iabc", w[mu], im_i1)))
+    return out
+
+
+def support_points(params, seed):
+    """A random point, one with exact zeros, one with coordinates near 1e10 and one with f_z
+    near the domain edge."""
+    rng = np.random.default_rng(seed)
+    return {"random": random_valid_point(params, rng), "zeros": point_with_zeros(params, seed),
+            "far": 1e10 * random_valid_point(params, rng),
+            "edge": point_with_f_z(params, 2.0 * DOMAIN_EPS, rng)}
+
+
+# every (c, corrupt) pair up to m = 3, each with a point kind in turn; a dense sum takes
+# about 0.3 s at m = 5 and 1 s at m = 7
+SUPPORT_CASES = [(m, c, corrupt, ("random", "zeros", "far", "edge")[(m + n) % 4])
+                 for m in (0, 1, 2, 3)
+                 for n, (c, corrupt) in enumerate((c, x) for c in (0.0, 1.0, 1000.0)
+                                                  for x in (False, True))]
+SUPPORT_CASES += [(5, 1000.0, True, "far"), (7, 0.0, False, "zeros")]
+
+
+class TestSupportKernels:
+    """term_ds_closed and term_comm_closed add each group on its structural support only."""
+
+    @pytest.mark.parametrize("m,c,corrupt,kind", SUPPORT_CASES)
+    def test_match_dense_sums_bit_for_bit(self, m, c, corrupt, kind):
+        params = ModelParams(m, c, corrupt_omega2=corrupt)
+        geom = geometry_at(params, support_points(params, 10 * m + 1)[kind])
+        for kernel, dense in ((term_ds_closed, dense_term_ds), (term_comm_closed, dense_term_comm)):
+            # uint64 patterns: the sign of every zero matches too
+            assert np.array_equal(bits(kernel(geom)), bits(dense(geom))), kernel.__name__
+
+    def test_supports_cover_a_point_with_other_zeros(self):
+        # built while the first point, whose w and z_1 are exact zeros, is evaluated
+        params = ModelParams(1, 1.0)
+        outer_supports.cache_clear()
+        for coords in (point_with_zeros(params, 3), random_valid_point(params, np.random.default_rng(3))):
+            geom = geometry_at(params, coords)
+            assert np.array_equal(bits(term_comm_closed(geom)), bits(dense_term_comm(geom)))
+            assert np.array_equal(bits(term_ds_closed(geom)), bits(dense_term_ds(geom)))
+
+    @pytest.mark.parametrize("kernel", [term_comm_closed, term_ds_closed])
+    def test_peak_is_below_two_rank4_arrays(self, kernel):
+        geom = geometry_at(ModelParams(7, 1.0), random_valid_point(ModelParams(7, 1.0),
+                                                                  np.random.default_rng(7)))
+        kernel(geom)  # fill the support cache
+        tracemalloc.start()
+        try:
+            kernel(geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * geom.d ** 4
+
+    def test_cached_supports_are_read_only(self):
+        geom = geometry_at(ModelParams(1, 1.0), random_valid_point(ModelParams(1, 1.0),
+                                                                  np.random.default_rng(1)))
+        term_comm_closed(geom)
+        flat, starts, tables = outer_supports(_comm_groups, 1)[0]
+        gathers, positions = tables[0][0]
+        for arr in (flat, gathers[0], positions):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0

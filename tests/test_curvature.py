@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hkqk import cli, curvature, flat_model
 from hkqk.correspondence import form_block, rtilde_closed, twist_support
 from hkqk.curvature import (
     SPLIT_NU,
@@ -242,6 +243,43 @@ class TestNanResiduals:
         i_mu[j] = i_mu[j].copy()
         i_mu[j][1, 0] = np.nan
         assert np.isnan(invariance_residual(dataclasses.replace(geom, i_mu=tuple(i_mu))))
+
+    def test_equal_f_z_norm_row(self, monkeypatch):
+        monkeypatch.setattr(curvature, "curvature_norm_frame", lambda geom: np.nan)
+        assert_row_reads_nan("equal_f_z_equal_norm_rel")
+
+    def test_kulkarni_row(self, monkeypatch):
+        # the first random form is a factor of the first owedge product
+        forms = iter(range(1 << 30))
+        original = cli._random_form
+
+        def planted(rng, d, sign):
+            form = original(rng, d, sign)
+            if next(forms) == 0:
+                form[0, 1] = np.nan
+            return form
+
+        monkeypatch.setattr(cli, "_random_form", planted)
+        assert_row_reads_nan("kn_owedge_curvature_symmetries")
+
+    @pytest.mark.parametrize("row", ["quaternion_relations", "omega_mu_is_lowered_i_mu",
+                                     "pairwise_commutation", "omega_identities"])
+    def test_structural_rows(self, monkeypatch, row):
+        original = flat_model.structural_residuals
+
+        def planted(geom):
+            i_mu = list(geom.i_mu)
+            i_mu[2] = i_mu[2].copy()
+            i_mu[2][1, 0] = np.nan
+            return original(dataclasses.replace(geom, i_mu=tuple(i_mu)))
+
+        monkeypatch.setattr(flat_model, "structural_residuals", planted)
+        assert_row_reads_nan(row)
+
+
+def assert_row_reads_nan(row):
+    results = {r.name: r for r in cli.run_verification(cli.RunConfig(m=0, c=1.0, samples=1))}
+    assert np.isnan(results[row].max_residual) and not results[row].passed
 
 
 class TestNormValues:

@@ -1,5 +1,6 @@
 """Model construction: constant tensors, scalars, geometry snapshots, identities."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -350,3 +351,32 @@ class TestSampling:
         a = random_valid_point(params, np.random.default_rng(7))
         b = random_valid_point(params, np.random.default_rng(7))
         assert_allclose(a, b)
+
+
+def dense_sum_identity_sides(geom):
+    """Both sides of sum_identity_residual as sums of dense einsum outer products."""
+    dz = geom.dz
+    i1 = geom.i_mu[1]
+    lhs = np.zeros((geom.d,) * 4)
+    rhs = np.zeros((geom.d,) * 4)
+    for mu in range(4):
+        m = dz.T @ geom.omega_mu[mu]
+        lhs += np.einsum("ab,ic->iabc", m - m.T, geom.i_mu[mu] @ i1)
+        rhs -= 0.5 * np.einsum("ab,ic->iabc", geom.omega_mu[mu] - geom.omega_mu[mu].T, geom.i_mu[mu])
+    rhs += np.einsum("ab,ic->iabc", geom.omega_h, i1)
+    return lhs, rhs
+
+
+class TestSumIdentitySupport:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("twist_scale", [1.0, 2.0])
+    def test_matches_dense_sums_bit_for_bit(self, m, corrupt, twist_scale):
+        # a doubled twist form breaks the identity, still with integer entries
+        params = ModelParams(m, (0.0, 1.0, 1000.0)[m % 3], corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        geom = dataclasses.replace(geom, omega_h=twist_scale * geom.omega_h)
+        lhs, rhs = dense_sum_identity_sides(geom)
+        expected = float(np.abs(lhs - rhs).max())
+        assert bits(np.float64(sum_identity_residual(geom))) == bits(np.float64(expected))
+        assert (expected > 0.0) == (twist_scale != 1.0)
