@@ -244,18 +244,32 @@ def _stacked_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.add.reduce(left[:, :, None] * right[:, None, :], initial=0.0)
 
 
-def _metric_data(consts: ConstantTensors, f_z: float, z: np.ndarray):
-    """alpha_mu = omega_mu(Z, .) = g(I_mu Z, .), g_alpha = sum_mu alpha_mu^2, g_h = g/f_z + g_alpha/f_z^2."""
-    alpha = (consts.alpha_map @ z).reshape(4, -1)
+def _metric_data(g: np.ndarray, f_z: float, alpha: np.ndarray):
+    """g_alpha = sum_mu alpha_mu^2 and g_h = g/f_z + g_alpha/f_z^2, from the rows of alpha."""
     g_alpha = _stacked_sum(alpha, alpha)
-    return alpha, g_alpha, consts.g / f_z + g_alpha / f_z ** 2
+    return g_alpha, g / f_z + g_alpha / f_z ** 2
+
+
+# keyed on (m, corrupt_omega2): c changes no constant tensor, and the key compares no dataclass
+@lru_cache(maxsize=64)
+def alpha_gather(m: int, corrupt_omega2: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (index, sign, g) with alpha_mu[b] = sign[mu, b] * coords[index[mu, b]] at every
+    point: each row of alpha_map holds one +/-1 and Z = dz @ coords is a signed permutation of
+    the z-block, so each alpha entry is one coordinate times +/-1, or times 0 off the z-block."""
+    consts = constant_tensors(ModelParams(m, corrupt_omega2=corrupt_omega2))
+    jac = (consts.alpha_map @ consts.dz).reshape(4, -1, consts.g.shape[0])
+    assert (np.count_nonzero(jac, axis=2) <= 1).all()
+    plan = np.abs(jac).argmax(axis=2), jac.max(axis=2) + jac.min(axis=2), consts.g.copy()
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def deformed_metric(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain."""
-    consts = constant_tensors(params)
-    _, _, g_h = _metric_data(consts, scalars(params, coords)[0], vector_z(params, coords))
-    return g_h
+    f_z = scalars(params, coords)[0]
+    index, sign, g = alpha_gather(params.m, params.corrupt_omega2)
+    return _metric_data(g, f_z, np.asarray(coords, dtype=float)[index] * sign)[1]
 
 
 def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:
@@ -266,7 +280,8 @@ def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:
     d = params.d
     z = vector_z(params, coords)
 
-    alpha, g_alpha, g_h = _metric_data(consts, f_z, z)
+    alpha = (consts.alpha_map @ z).reshape(4, -1)  # alpha_mu = omega_mu(Z, .) = g(I_mu Z, .)
+    g_alpha, g_h = _metric_data(consts.g, f_z, alpha)
     k = f_z * np.eye(d) - (f_z / f_h) * _stacked_sum((consts.i_map @ z).reshape(4, -1), alpha)
 
     return GeometryAt(

@@ -104,7 +104,7 @@ def adjoint_defect(endo: np.ndarray, metric: np.ndarray, *, skew: bool) -> float
 def _require_adjoint(name: str, endo: np.ndarray, metric: np.ndarray, skew: bool) -> None:
     """Raise unless ``endo`` is metric-skew (or metric-self-adjoint) within ADJOINT_TOL."""
     defect = adjoint_defect(endo, metric, skew=skew)
-    if defect > ADJOINT_TOL:
+    if not defect <= ADJOINT_TOL:  # a NaN defect fails too
         kind = "skew-adjointness" if skew else "self-adjointness"
         raise AdjointnessViolated(f"{name} fails {kind} by {defect:.2e}")
 

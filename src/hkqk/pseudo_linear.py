@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetric, PairAntisymmetryViolated
+from .errors import DegenerateMetric, DomainViolation, PairAntisymmetryViolated
 
 DEFAULT_FD_STEP = 1e-5
 PIVOT_TOL = 1e-10
@@ -47,7 +47,7 @@ def pseudo_gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         norms = np.matmul(np.matmul(remaining[:, None, :], B), remaining[:, :, None])[:, 0, 0]
         k = int(np.argmax(np.abs(norms)))
         norm = norms[k]
-        if abs(norm) <= PIVOT_TOL * scale:
+        if not abs(norm) > PIVOT_TOL * scale:  # a NaN pivot or scale fails too
             raise DegenerateMetric(f"pivot {abs(norm):.2e} at step {slot} is below threshold "
                                    f"{PIVOT_TOL:.2e} * scale {scale:.2e}")
         v = remaining[k] / np.sqrt(abs(norm))
@@ -59,7 +59,7 @@ def pseudo_gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         remaining = remaining - (sign * dots)[:, None] * v
 
     defect = np.abs(vectors @ B @ vectors.T - np.diag(signs)).max()
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise DegenerateMetric(f"orthonormalization defect {defect:.2e} exceeds 1e-10")
     return vectors, signs
 
@@ -80,7 +80,7 @@ def require_pair_antisymmetry(arr: np.ndarray) -> None:
     """Raise unless the defect is within PAIR_ANTISYMMETRY_TOL of the magnitude (floored at 1)."""
     scale = max(1.0, float(_max_abs(arr)))
     defect = check_pair_antisymmetry(arr)
-    if defect > PAIR_ANTISYMMETRY_TOL * scale:
+    if not defect <= PAIR_ANTISYMMETRY_TOL * scale:  # a NaN defect fails too
         raise PairAntisymmetryViolated(f"pair antisymmetry defect {defect:.2e} > "
                                        f"{PAIR_ANTISYMMETRY_TOL:.2e} * scale {scale:.2e}")
 
@@ -115,27 +115,38 @@ def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
                          order: int = 2) -> np.ndarray:
     """Central differences of a field along every coordinate; the derivative index is axis 0.
 
-    The step is scaled per coordinate, h = step * max(1, |coords[k]|).
-    The default is the two-point second-order stencil
-    (field(p + h e) - field(p - h e)) / (2 h); order=4 selects the five-point
-    stencil for fields whose higher derivatives blow up near the domain edge.
-    Domain errors raised by ``field`` at the sample points propagate unchanged.
+    The step is scaled per coordinate, h = step * max(1, |coords[k]|). The default is the
+    two-point second-order stencil (field(p + h e) - field(p - h e)) / (2 h); order=4 selects
+    the five-point stencil for fields whose higher derivatives blow up near the domain edge.
+    The shifted points are the rows of one array, k outer and the offsets +2h, +h, -h, -2h
+    inner; each value goes into one buffer, on which the formula runs once, in place. A
+    DomainViolation at a point is raised again, chained, naming k, the offset and h.
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     coords = np.asarray(coords, dtype=float)
-
-    def at(k, offset):
-        shifted = coords.copy()
-        shifted[k] += offset
-        return np.asarray(field(shifted), dtype=float)
-
-    rows = []
-    for k in range(coords.size):
-        h = step * max(1.0, abs(coords[k]))
-        if order == 2:
-            rows.append((at(k, h) - at(k, -h)) / (2.0 * h))
-        else:
-            rows.append((-at(k, 2 * h) + 8.0 * at(k, h) - 8.0 * at(k, -h) + at(k, -2 * h))
-                        / (12.0 * h))
-    return np.stack(rows)
+    n, offsets = coords.size, np.array([1.0, -1.0] if order == 2 else [2.0, 1.0, -1.0, -2.0])
+    h = step * np.fmax(np.abs(coords), 1.0)
+    points = np.tile(coords, (n, offsets.size, 1))  # [k, j]: offsets[j] * h[k] added to coords[k]
+    points[np.arange(n), :, np.arange(n)] += h[:, None] * offsets
+    for i, point in enumerate(points.reshape(-1, n)):
+        k, j = divmod(i, offsets.size)
+        try:
+            value = field(point)
+        except DomainViolation as err:
+            offset = ("+2h", "+h", "-h", "-2h")[j + (order == 2)]
+            raise DomainViolation(f"{err}; at stencil coordinate {k}, offset {offset}, "
+                                  f"h = {h[k]:.3e}") from err
+        if not i:
+            v = np.empty((offsets.size, n) + np.shape(value))  # v[j]: every field(p + offsets[j] h e)
+        v[j, k] = value
+        del value  # so that the next call runs without it
+    out = v[0]
+    if order == 2:
+        out -= v[1]
+    else:  # -a + 8 b - 8 c + e, with 8 b - a the same first sum
+        np.subtract(np.multiply(v[1], 8.0, out=v[1]), out, out=out)
+        out -= np.multiply(v[2], 8.0, out=v[2])
+        out += v[3]
+    out /= (2.0 if order == 2 else 12.0) * h.reshape(-1, *(1,) * (v.ndim - 2))
+    return out

@@ -27,7 +27,7 @@ from hkqk.correspondence import (
 from hkqk.flat_model import (DOMAIN_EPS, ModelParams, geometry_at, outer_supports,
                              point_with_f_z, random_valid_point)
 from hkqk.kulkarni import form_obar, form_owedge
-from hkqk.pseudo_linear import check_pair_antisymmetry
+from hkqk.pseudo_linear import check_pair_antisymmetry, finite_diff_gradient
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
 
@@ -218,6 +218,29 @@ class TestTTensor:
             lowered = np.einsum("iabc,ix->abcx", t13, geom.g_h)
             closed = rtilde_closed(geom)
             assert np.abs(lowered - closed).max() / max(1.0, np.abs(closed).max()) < 1e-4
+
+
+class TestStencilMemory:
+    """term_ds_fd(s_source="closed") differentiates the closed S, a rank-3 field."""
+
+    def test_peak_is_the_value_buffer_and_one_field_call(self):
+        params = ModelParams(7, 1.0)
+        point = random_valid_point(params, np.random.default_rng(7))
+
+        def field(c):
+            return s_closed_tensor(geometry_at(params, c))
+
+        finite_diff_gradient(field, point)  # fill the caches
+        d = params.d
+        tracemalloc.start()
+        try:
+            finite_diff_gradient(field, point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a per-coordinate loop holds d rows of d^3 floats and their stack; the buffer of
+        # 2d values is as large, and 1 MB covers the field call that runs beside it
+        assert peak <= 8 * 2 * d ** 4 + 2 ** 20
 
 
 class TestCurvatureRoutes:

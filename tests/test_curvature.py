@@ -24,7 +24,7 @@ from hkqk.curvature import (
     substitute_last_slots,
     trace_k_powers,
 )
-from hkqk.errors import DomainViolation
+from hkqk.errors import DomainViolation, PairAntisymmetryViolated
 from hkqk.flat_model import ModelParams, geometry_at, random_valid_point
 from hkqk.kulkarni import form_obar, form_owedge
 from hkqk.pseudo_linear import (check_pair_antisymmetry, compose_trace, pseudo_gram_schmidt,
@@ -118,7 +118,7 @@ class TestPairOnlyOperator:
     @pytest.mark.parametrize("kind", TENSOR_KINDS)
     def test_projection_is_exactly_pair_antisymmetric(self, rng, kind):
         # fl(x - y) = -fl(y - x) and halving keeps the sign, so a pair guard on the
-        # projection only ever sees defects of 0 or NaN, and never raises
+        # projection only ever sees defects of 0 or NaN, and raises only on the NaN
         t = special_tensor(rng, 8, kind)
         with np.errstate(invalid="ignore"):
             proj = two_pass_projection(t)
@@ -126,7 +126,11 @@ class TestPairOnlyOperator:
                 assert np.array_equal(proj, -swapped, equal_nan=True)
             defect = check_pair_antisymmetry(proj)
             assert defect == 0.0 if kind != "non_finite" else np.isnan(defect)
-            require_pair_antisymmetry(proj)
+            if kind == "non_finite":
+                with pytest.raises(PairAntisymmetryViolated, match="defect nan"):
+                    require_pair_antisymmetry(proj)
+            else:
+                require_pair_antisymmetry(proj)
 
 
 def einsum_in_frame(t, v):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hkqk.errors import DomainViolation
 from hkqk.flat_model import (
     ModelParams,
+    alpha_gather,
     constant_tensors,
     deformed_metric,
     geometry_at,
@@ -280,7 +281,8 @@ def bits(values):
 
 
 class TestKernelsMatchReference:
-    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    # from m = 8 the z-block sum in scalars has 8 or more terms and numpy sums it pairwise
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, 8, 9])
     @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
     def test_bit_for_bit(self, m, c):
         # stacked products and broadcast outer products round exactly as the formulas
@@ -328,6 +330,33 @@ class TestKernelsMatchReference:
             for evaluate in (scalars, deformed_metric, geometry_at):
                 with pytest.raises(error, match=f"^{re.escape(message)}$"):
                     evaluate(params, coords)
+
+
+class TestAlphaGather:
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_gives_the_stacked_product(self, rng, corrupt):
+        # equal as numbers; a zero's sign may differ, and g_h's bits are checked above
+        for m in (0, 2, 5):
+            params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
+            index, sign, g = alpha_gather(m, corrupt)
+            point = random_valid_point(params, rng)
+            assert np.array_equal(point[index] * sign, geometry_at(params, point).alpha)
+            assert np.array_equal(g, constant_tensors(params).g)
+            assert set(np.unique(sign)) <= {-1.0, 0.0, 1.0}
+
+    def test_read_only_and_shared_across_c(self, rng):
+        alpha_gather.cache_clear()
+        for c in (0.0, 1.0, 100.0):
+            params = ModelParams(3, c)
+            deformed_metric(params, random_valid_point(params, rng))
+        assert alpha_gather.cache_info().misses == 1
+        deformed_metric(ModelParams(3, 1.0, corrupt_omega2=True),
+                        random_valid_point(ModelParams(3, 1.0), rng))
+        assert alpha_gather.cache_info().misses == 2
+        for arr in alpha_gather(3, False):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestSampling:

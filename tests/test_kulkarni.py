@@ -338,6 +338,13 @@ class TestEndoProducts:
         with pytest.raises(AdjointnessViolated, match="second argument fails skew"):
             endo_obar(standard_complex_structure(4), np.eye(4), np.ones(4))
 
+    def test_obar_rejects_a_nan_argument(self):
+        # a NaN adjointness defect fails the guard instead of reaching the operator
+        j = standard_complex_structure(4)
+        j[1, 2] = np.nan
+        with pytest.raises(AdjointnessViolated, match="first argument fails skew-adjointness by nan"):
+            endo_obar(j, standard_complex_structure(4), np.ones(4))
+
 
 def brute_force_pair_trace(first, second, metric, kinds):
     """Sign-weighted four-index sum over an orthonormal frame, from the definitions.

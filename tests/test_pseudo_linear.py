@@ -1,14 +1,18 @@
 """Frame construction, adjointness, wedge-space operators, finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_spd_form, signature_form
+from hkqk.correspondence import s_closed_tensor, term_ds_fd
 from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViolated
 from hkqk.flat_model import ModelParams, deformed_metric, geometry_at, random_valid_point, scalars
 from hkqk.kulkarni import adjoint_defect, form_obar, form_owedge
 from hkqk.pseudo_linear import (
+    DEFAULT_FD_STEP,
     PIVOT_TOL,
     check_pair_antisymmetry,
     compose_trace,
@@ -57,6 +61,23 @@ class TestPseudoGramSchmidt:
         vectors, _ = pseudo_gram_schmidt(np.diag([1.0, 9.0]))
         assert_allclose(vectors[0], [0.0, 1.0 / 3.0])
 
+
+    def test_nan_pivot_raises(self):
+        # a NaN entry makes the scale NaN, and no pivot clears a NaN threshold
+        metric = np.eye(3)
+        metric[0, 1] = metric[1, 0] = np.nan
+        with pytest.raises(DegenerateMetric, match="pivot"):
+            pseudo_gram_schmidt(metric)
+
+    def test_nan_orthonormalization_defect_raises(self):
+        # every pivot is finite; the frame's product with the metric reads NaN, as an
+        # overflow in that last product would make it
+        class NanFrameProduct(np.ndarray):
+            def __rmatmul__(self, other):
+                return np.full((other.shape[0], self.shape[1]), np.nan)
+
+        with pytest.raises(DegenerateMetric, match="orthonormalization defect nan"):
+            pseudo_gram_schmidt(signature_form(4).view(NanFrameProduct))
 
     def test_pivot_threshold_is_relative_to_the_metric(self):
         # g_h scales as 1/f_z, so a far point's metric has pivots of 1e-20 and below
@@ -279,6 +300,12 @@ class TestPairAntisymmetryCheck:
             defect = check_pair_antisymmetry(np.full((3, 3, 3, 3), value))
             assert defect == 0.0 and np.copysign(1.0, defect) == 1.0
 
+    def test_nan_defect_raises(self):
+        arr = np.zeros((4, 4, 4, 4))
+        arr[0, 1, 2, 3] = np.nan
+        with pytest.raises(PairAntisymmetryViolated, match="defect nan"):
+            require_pair_antisymmetry(arr)
+
     def test_scale_is_the_largest_magnitude(self):
         # a defect of 2e-10 passes at scale 2 (bound 2e-10) and fails at scale 1.9
         for peak, raises in ((-2.0, False), (-1.9, True)):
@@ -343,6 +370,29 @@ class TestFiniteDiff:
         with pytest.raises(DomainViolation):
             finite_diff_gradient(lambda c: scalars(params, c)[0], point)
 
+    def test_domain_violation_names_the_stencil_point(self):
+        # the point above fails at x_0 - h, after x_0 + h passed
+        params = ModelParams(0, 0.0)
+        point = np.array([np.sqrt(2.1e-8), 0.0, 0.0, 0.0])
+        with pytest.raises(DomainViolation) as err:
+            finite_diff_gradient(lambda c: scalars(params, c)[0], point)
+        cause = err.value.__cause__
+        assert type(cause) is DomainViolation and re.fullmatch(
+            r"f_z = \S+ is not positive \(threshold 1e-08\)", str(cause))
+        assert str(err.value) == f"{cause}; at stencil coordinate 0, offset -h, h = 1.000e-05"
+
+    def test_nested_stencils_name_both_points(self):
+        # the outer point x_0 - h is inside the domain, and the Koszul stencil around it
+        # leaves the domain at its own x_0 - h, 2h below the sample
+        params = ModelParams(0, 0.0)
+        point = np.array([np.sqrt(2e-8) + 1.5e-5, 0.0, 0.0, 0.0])
+        geom = geometry_at(params, point)
+        with pytest.raises(DomainViolation) as err:
+            term_ds_fd(geom, s_source="parts")
+        at = "; at stencil coordinate 0, offset -h, h = 1.000e-05"
+        assert str(err.value).endswith(at + at)
+        assert str(err.value.__cause__).endswith(at) and not str(err.value.__cause__).endswith(at + at)
+
     def test_fourth_order_stencil_exact_on_cubics(self):
         coords = np.array([0.4, -0.7])
 
@@ -366,6 +416,76 @@ class TestFiniteDiff:
         stacked = finite_diff_gradient(lambda c: [f(c) for f in fields], point, order=order)
         separate = [finite_diff_gradient(f, point, order=order) for f in fields]
         assert np.array_equal(stacked, np.stack(separate, axis=1))
+
+
+def reference_gradient(field, coords, *, step=DEFAULT_FD_STEP, order=2):
+    """The stencil one coordinate at a time, each point a fresh copy of the coordinates and
+    each formula on its own row: the reference for finite_diff_gradient."""
+    coords = np.asarray(coords, dtype=float)
+
+    def at(k, offset):
+        shifted = coords.copy()
+        shifted[k] += offset
+        return np.asarray(field(shifted), dtype=float)
+
+    rows = []
+    for k in range(coords.size):
+        h = step * max(1.0, abs(coords[k]))
+        if order == 2:
+            rows.append((at(k, h) - at(k, -h)) / (2.0 * h))
+        else:
+            rows.append((-at(k, 2 * h) + 8.0 * at(k, h) - 8.0 * at(k, -h) + at(k, -2 * h))
+                        / (12.0 * h))
+    return np.stack(rows)
+
+
+# |x| < 1, |x| > 1 and exact zeros of both signs
+STENCIL_COORDS = np.array([0.3, -0.7, 2.5, -13.0, 0.0, -0.0])
+STENCIL_FIELDS = {
+    "scalar": lambda c: c[0] * c[1] ** 2 - np.sin(c[2]) * c[3] + np.exp(c[4] - c[5]),
+    "list": lambda c: [np.outer(c, np.cos(c)), np.exp(c)[:, None] * c[::-1]],
+    "rank3": lambda c: np.multiply.outer(np.outer(np.sin(c), c ** 3), 1.0 / (2.0 + c * c)),
+}
+
+
+class TestStencilMatchesReference:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(STENCIL_FIELDS))
+    def test_bit_for_bit(self, order, kind):
+        field = STENCIL_FIELDS[kind]
+        got = finite_diff_gradient(field, STENCIL_COORDS, order=order)
+        expected = reference_gradient(field, STENCIL_COORDS, order=order)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_model_fields_bit_for_bit(self, order):
+        # the Koszul route's stencils: g_h at order 4, the closed S at order 2
+        params = ModelParams(1, 0.5)
+        point = random_valid_point(params, np.random.default_rng(11))
+        point[[4, 6]] = 0.0, -0.0
+        for field in (lambda c: deformed_metric(params, c),
+                      lambda c: s_closed_tensor(geometry_at(params, c))):
+            got = finite_diff_gradient(field, point, order=order)
+            expected = reference_gradient(field, point, order=order)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_first_failing_point_is_the_reference_one(self, order):
+        # several points leave the domain; each message names the point it was raised at
+        def field(c):
+            if c[1] > 0.999995 or c[3] < -13.0001:
+                raise DomainViolation(f"left the domain at {c.tolist()}")
+            return c * c
+
+        coords = np.array([0.3, 0.999993, 2.5, -13.0, 0.0, -0.0])
+        with pytest.raises(DomainViolation) as expected:
+            reference_gradient(field, coords, order=order)
+        with pytest.raises(DomainViolation) as got:
+            finite_diff_gradient(field, coords, order=order)
+        offset = "+h" if order == 2 else "+2h"
+        assert str(got.value.__cause__) == str(expected.value)
+        assert str(got.value) == f"{expected.value}; at stencil coordinate 1, offset {offset}, h = 1.000e-05"
 
 
 class TestWedgePairs:
