@@ -187,7 +187,7 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     compat = (d_gh - np.einsum("iab,ic->abc", sc, gh) - np.einsum("iac,ib->abc", sc, gh))
     res["s_metric_compatibility"] = float(np.abs(compat).max() / max(1.0, np.abs(d_gh).max()))
 
-    ds_fd = corr.term_ds_fd(geom, step=step, s_source="closed")
+    ds_fd = corr.term_ds_fd(geom, corr.s_closed_tensor, step=step)
     ds_closed = corr.term_ds_closed(geom)
     res["ds_term_closed_vs_fd"] = float(
         np.abs(ds_closed - ds_fd).max() / max(1.0, np.abs(ds_closed).max()))
@@ -239,10 +239,10 @@ def _kulkarni_residuals(config: RunConfig) -> dict[str, float]:
                 # raised with the diagonal metric: e, f metric-self-adjoint and k, l metric-skew
                 e, k, f, l = (diag[:, None] * _random_form(rng, d, sign)
                               for sign in (1.0, -1.0, 1.0, -1.0))
-                op_e = kn.endo_owedge(e, e, diag)
-                op_f = kn.endo_owedge(f, f, diag)
-                op_k = kn.endo_obar(k, k, diag)
-                op_l = kn.endo_obar(l, l, diag)
+                op_e = kn.endo_owedge(e, diag)
+                op_f = kn.endo_owedge(f, diag)
+                op_k = kn.endo_obar(k, diag)
+                op_l = kn.endo_obar(l, diag)
                 pairs = (
                     ("trace_identity_owedge_rel", kn.owedge_pair_trace(e, f),
                      compose_trace(op_e, op_f)),
@@ -295,33 +295,31 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
     """Evaluate every registered identity over seeded random points."""
     params = config.params
     worst: dict[str, float] = {}
-    counts: dict[str, int] = {}
 
-    def fold(res: dict[str, float], points: int) -> None:
+    def fold(res: dict[str, float]) -> None:
         for name, value in res.items():
             if name not in CHECKS:
                 raise KeyError(f"unregistered check {name!r}")
             # np.maximum keeps a NaN, which then fails its row; max() would drop it
             worst[name] = float(np.maximum(worst.get(name, -np.inf), value))
-            counts[name] = counts.get(name, 0) + points
 
     for index in range(config.samples):
         rng = np.random.default_rng(derived_seed(config.seed, index))
         geom = fm.geometry_at(params, fm.random_valid_point(params, rng))
-        fold(fm.structural_residuals(geom), 1)
-        fold(fm.verify_differential_identities(geom, step=config.fd_step), 1)
+        fold(fm.structural_residuals(geom))
+        fold(fm.verify_differential_identities(geom, step=config.fd_step))
         corr_res, rt_closed = _correspondence_residuals(config, geom)
-        fold(corr_res, 1)
+        fold(corr_res)
         report, op, vectors = curv.norm_report(geom, rt_closed,
                                                hk_seed=derived_seed(config.seed, index))
         # the change of frame sums terms up to max|R~| (max_p sum_a |V_pa|)^4
         op_terms = np.abs(rt_closed).max() * np.abs(vectors).sum(axis=1).max() ** 4
         fold({"curvature_operator_self_adjoint":
               float(np.abs(op - op.T).max() / max(1.0, op_terms)),
-              **report["residuals"], **curv.k_trace_residuals(geom)}, 1)
+              **report["residuals"], **curv.k_trace_residuals(geom)})
 
-    fold(_kulkarni_residuals(config), config.samples)
-    fold(_profile_residuals(config), config.samples)
+    fold(_kulkarni_residuals(config))
+    fold(_profile_residuals(config))
 
     # the profile checks are the only conditional ones: one for c = 0, the other for c > 0
     absent = "rho_profile_monotone" if config.c == 0.0 else "c0_norm_constant_rel"
@@ -335,7 +333,7 @@ def run_verification(config: RunConfig) -> list[CheckResult]:
         residual = worst[name]
         results.append(CheckResult(
             name=name, anchor=anchor, max_residual=residual,
-            tolerance=tol, passed=bool(residual < tol), points=counts[name]))
+            tolerance=tol, passed=bool(residual < tol), points=config.samples))
     return results
 
 
@@ -544,10 +542,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corrupt-omega2", action="store_true",
                           help=argparse.SUPPRESS)  # negative-control hook
 
+    point_help = ("comma-separated real coordinates, length 4(m+1); write it as "
+                  "--point=-2,0,0,0 when the first one is negative")
     p_norm = sub.add_parser("norm", help="evaluate both curvature-norm routes at a point")
     add_common(p_norm)
-    p_norm.add_argument("--point", default=None,
-                        help="comma-separated real coordinates, length 4(m+1)")
+    p_norm.add_argument("--point", default=None, help=point_help)
 
     p_sweep = sub.add_parser("sweep", help="tabulate the norm over a grid of rho = 2 f_z")
     add_common(p_sweep)
@@ -557,8 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="report the curvature split at a point")
     add_common(p_dec)
-    p_dec.add_argument("--point", default=None,
-                       help="comma-separated real coordinates, length 4(m+1)")
+    p_dec.add_argument("--point", default=None, help=point_help)
     return parser
 
 

@@ -13,12 +13,13 @@ the module's central cross-check; all functions are pure in the snapshot.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .flat_model import (ConstantTensors, GeometryAt, ModelParams, constant_tensors,
+from .flat_model import (GeometryAt, ModelParams, constant_tensors,
                          deformed_metric, geometry_at, sum_outer_groups)
-from .kulkarni import BLOCK_BYTES, form_obar, form_owedge, form_sum
+from .kulkarni import BLOCK_BYTES, form_obar, form_owedge
 from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient, require_pair_antisymmetry
 
 
@@ -157,17 +158,11 @@ def dz_plus_sz_closed(geom: GeometryAt) -> np.ndarray:
     return out
 
 
-def term_ds_fd(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
-               s_source: str = "closed") -> np.ndarray:
-    """Defining evaluation of (D_A S)_B C - (D_B S)_A C by differentiating S."""
-    if s_source not in ("parts", "closed"):
-        raise ValueError(f"unknown correction source {s_source!r}")
-
-    def field(c):
-        at = geometry_at(geom.params, c)
-        return s_parts_tensor(at, step=step) if s_source == "parts" else s_closed_tensor(at)
-
-    d_s = finite_diff_gradient(field, geom.coords, step=step)
+def term_ds_fd(geom: GeometryAt, correction: Callable[[GeometryAt], np.ndarray], *,
+               step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Defining evaluation of (D_A S)_B C - (D_B S)_A C by differentiating S = correction(snapshot)."""
+    d_s = finite_diff_gradient(lambda c: correction(geometry_at(geom.params, c)), geom.coords,
+                               step=step)
     return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
 
 
@@ -181,7 +176,8 @@ def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.
     taken by finite differences.
     """
     s = s_parts_tensor(geom, step=step)
-    return t_from_parts(geom, s, term_ds_fd(geom, step=step, s_source="parts"))
+    ds = term_ds_fd(geom, lambda at: s_parts_tensor(at, step=step), step=step)
+    return t_from_parts(geom, s, ds)
 
 
 def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -191,28 +187,26 @@ def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return ds + comm - np.einsum("ab,ic->iabc", geom.omega_h, dzsz) / geom.f_h
 
 
-def form_block(geom: ConstantTensors, form: np.ndarray, own, turned) -> np.ndarray:
-    """Curvature-type block own(F, F) + sum_k turned(F_k, F_k), F_k = F(I_k ., .).
+def form_block(geom: GeometryAt) -> np.ndarray:
+    """Metric block g_h . g_h + sum_k G_k .bar. G_k of rtilde_closed, G_k = g_h(I_k ., .),
+    with . the symmetric-form product (form_owedge) and .bar. the two-form one (form_obar).
 
-    The closed curvature route takes (own, turned) = (., .bar.) for the metric g_h and
-    (.bar., .) for the twist form w_h, where . is the symmetric-form product (form_owedge)
-    and .bar. the two-form product (form_obar). As I_k is a signed permutation,
-    (F_k . F_k)(A,B,C,X) = eps(A) eps(B) (F . F)(sigma A, sigma B, C, X) exactly. So each
-    turned term is gathered from W = F . F, a .bar. term adds its row of 2 F_k (x) F_k twice
-    after its pair guard, and the terms are summed in form_sum's order. A gathered -0.0
-    turns +0.0 at the next addition: for finite F the block is form_sum's, bit for bit."""
-    d = form.shape[0]
-    own_term = form_sum([(form, form, own is form_obar)]).reshape(d * d, -1)
-    w = own_term if own is form_owedge else form_owedge(form, form).reshape(d * d, -1)
-    turned_forms = [geom.i_mu[k].T @ form for k in (1, 2, 3)]
-    for f in turned_forms if turned is form_obar else ():
+    As I_k is a signed permutation, (G_k . G_k)(A,B,C,X) = eps(A) eps(B) W(sigma A, sigma B, C, X)
+    exactly, W = g_h . g_h. So each turned term is gathered from W, adds its row of
+    2 G_k (x) G_k twice after form_obar's pair guard, and the terms are summed left to right.
+    A gathered -0.0 turns +0.0 at the next addition: for finite g_h the block is the sum of
+    the four products, bit for bit."""
+    d = geom.d
+    w = form_owedge(geom.g_h, geom.g_h).reshape(d * d, -1)
+    turned_forms = [geom.i_mu[k].T @ geom.g_h for k in (1, 2, 3)]
+    for f in turned_forms:
         if not (f == -f.T).all():
             require_pair_antisymmetry(np.einsum("ab,cx->abcx", f, f))
     # row A*d + B of a turned term is row sigma(A)*d + sigma(B) of W, negated if eps(A) eps(B) < 0;
     # take's mode="clip" skips a buffered bounds check, and every index is in range
     gathers = [((perm[:, None] * d + perm).ravel(), np.outer(sign, sign).reshape(-1, 1) < 0.0)
                for perm, sign in zip(geom.i_perm[1:], geom.i_sign[1:])]
-    out = np.empty_like(w) if own_term is w else own_term  # turned terms read only W
+    out = np.empty_like(w)  # turned terms read only W
     rows = d * min(d, max(1, BLOCK_BYTES // (8 * d ** 3)))
     t_buf, p_buf = np.empty((2, rows, d * d))
     for r0 in range(0, d * d, rows):
@@ -221,12 +215,11 @@ def form_block(geom: ConstantTensors, form: np.ndarray, own, turned) -> np.ndarr
         for n, (f, (index, flip)) in enumerate(zip(turned_forms, gathers)):
             np.take(w, index[r0:r1], axis=0, out=t, mode="clip")
             np.negative(t, out=t, where=flip[r0:r1])
-            if turned is form_obar:
-                np.einsum("ab,cx->abcx", f[r0 // d:r1 // d], f, out=p.reshape(-1, d, d, d))
-                p *= 2.0
-                t += p
-                t += p
-            np.add(out[r0:r1] if n else own_term[r0:r1], t, out=out[r0:r1])
+            np.einsum("ab,cx->abcx", f[r0 // d:r1 // d], f, out=p.reshape(-1, d, d, d))
+            p *= 2.0
+            t += p
+            t += p
+            np.add(out[r0:r1] if n else w[r0:r1], t, out=out[r0:r1])
     return out.reshape((d,) * 4)
 
 
@@ -235,13 +228,16 @@ def form_block(geom: ConstantTensors, form: np.ndarray, own, turned) -> np.ndarr
 def twist_support(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (flat indices, values) of the support of the twist-form block
     w_h .bar. w_h + sum_k w_h(I_k.,.) . w_h(I_k.,.), which needs only the constant
-    tensors. Its values are integers and it is +0.0 off the support, so scattering
-    the values into a zero array restores it bit for bit.
+    tensors. Its values are integers, exact in any order of summation, and it is +0.0
+    off the support, so scattering the values into a zero array restores it bit for bit.
     """
     consts = constant_tensors(params)
-    block = form_block(consts, consts.omega_h, form_obar, form_owedge).reshape(-1)
+    block = form_obar(consts.omega_h, consts.omega_h)
+    for k in (1, 2, 3):
+        turned = consts.i_mu[k].T @ consts.omega_h
+        block += form_owedge(turned, turned)
     flat = np.flatnonzero(block)
-    values = block[flat]
+    values = block.reshape(-1)[flat]
     flat.flags.writeable = values.flags.writeable = False
     return flat, values
 
@@ -260,7 +256,7 @@ def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     is -0.0, which changes only a -0.0, and the metric block holds no -0.0 (see form_block).
     """
     flat, values = twist_support(geom.params)  # first: a cold cache builds while no block is held
-    rt = form_block(geom, geom.g_h, form_owedge, form_obar)
+    rt = form_block(geom)
     rt /= 8.0
     rt.reshape(-1)[flat] -= values / (8.0 * geom.f_z * geom.f_h)
     return rt

@@ -16,7 +16,6 @@ import numpy as np
 from .correspondence import form_block, rtilde_closed, twist_support
 from .errors import DomainViolation
 from .flat_model import GeometryAt
-from .kulkarni import form_obar, form_owedge
 from .pseudo_linear import compose_trace, pseudo_gram_schmidt, wedge_pairs
 
 # powers p = 0..K_TRACE_MAX_EXPONENT of the comparison endomorphism are traced
@@ -140,7 +139,7 @@ def alekseevsky_split(geom: GeometryAt, rtilde: np.ndarray) -> tuple[np.ndarray,
     raised to an endomorphism in its first two slots, commutes with each
     complex structure; see hk_type_residual for the check.
     """
-    r0 = -form_block(geom, geom.g_h, form_owedge, form_obar) / 8.0
+    r0 = -form_block(geom) / 8.0
     return r0, rtilde - SPLIT_NU * r0
 
 

@@ -16,60 +16,54 @@ from .errors import AdjointnessViolated
 from .pseudo_linear import quadcov_to_lambda2_op, require_pair_antisymmetry
 
 ADJOINT_TOL = 1e-10
-# bytes of output written per block of leading rows: small enough for the block, a
-# term buffer and the rows of P and Q to stay in L2 cache (one row at d = 32, eight at d = 16)
+# bytes of output written per block of leading rows: small enough for the block and
+# two row buffers to stay in L2 cache (one row at d = 32, eight at d = 16)
 BLOCK_BYTES = 256 * 1024
 
 
-def form_sum(terms: list[tuple[np.ndarray, np.ndarray, bool]]) -> np.ndarray:
-    """Sum of the form products over ``terms`` = [(alpha, beta, bar), ...], in list order:
-    form_obar(alpha, beta) if ``bar``, else form_owedge(alpha, beta).
+def _form_product(alpha: np.ndarray, beta: np.ndarray, bar: bool) -> np.ndarray:
+    """form_obar(alpha, beta) if ``bar``, else form_owedge(alpha, beta).
 
-    The pair guard of every bar term runs first (see form_obar). The sum is then
-    written block by block of leading rows A. Row A of a product reads only row A
-    of P and of Q(A,B,C,X) = P(C,X,A,B) = beta(A,B) alpha(C,X), so only those rows
-    are built, each entry as one einsum product (which writes +0.0, never -0.0,
-    for a zero product); Q's rows are P's if ``beta is alpha``. For such a term that
-    is not bar, they are built once in the order the sum reads them, as
+    A bar product runs its pair guard first (see form_obar). The product is then
+    written block by block of leading rows A. Row A reads only row A of P and of
+    Q(A,B,C,X) = P(C,X,A,B) = beta(A,B) alpha(C,X), so only those rows are built,
+    each entry as one einsum product (which writes +0.0, never -0.0, for a zero
+    product); Q's rows are P's if ``beta is alpha``. For such a product that is not
+    bar, they are built once in the order the product reads them, as
     alpha(A,C) alpha(B,X) = P(A,C,B,X), whose swap of the last two axes is P(A,X,B,C);
-    a bar term also reads P(A,B,C,X) itself, so it keeps P's order. The first product
-    goes straight into the output block, each later one into a buffer that is
-    then added. Every entry is thus formed from the same products, summed in the
-    same order, as the full-array products and sums, and agrees bit for bit.
+    a bar product also reads P(A,B,C,X) itself, so it keeps P's order. Every entry is
+    thus formed from the same products, summed in the same order, as the full-array
+    formula, and agrees bit for bit.
     """
-    for alpha, beta, bar in terms:
-        if bar and not ((alpha == -alpha.T).all() and (beta == -beta.T).all()):
-            require_pair_antisymmetry(np.einsum("ab,cx->abcx", alpha, beta))
-    d = terms[0][0].shape[0]
+    if bar and not ((alpha == -alpha.T).all() and (beta == -beta.T).all()):
+        require_pair_antisymmetry(np.einsum("ab,cx->abcx", alpha, beta))
+    d = alpha.shape[0]
     out = np.empty((d,) * 4)
     rows = min(d, max(1, BLOCK_BYTES // (8 * d ** 3)))
-    p_buf, q_buf, t_buf = np.empty((3, rows, d, d, d))
+    p_buf, q_buf = np.empty((2, rows, d, d, d))
     for a0 in range(0, d, rows):
         a1 = min(a0 + rows, d)
-        for n, (alpha, beta, bar) in enumerate(terms):
-            blk = t_buf[: a1 - a0] if n else out[a0:a1]
-            p = q = p_buf[: a1 - a0]
-            if beta is alpha and not bar:
-                np.einsum("ac,bx->abcx", alpha[a0:a1], alpha, out=p)
-                pc, px = qc, qx = p, p.swapaxes(2, 3)
-            else:
-                np.einsum("ab,cx->abcx", alpha[a0:a1], beta, out=p)
-                if beta is not alpha:
-                    q = q_buf[: a1 - a0]
-                    np.einsum("ab,cx->abcx", beta[a0:a1], alpha, out=q)
-                pc, px = p.transpose(0, 2, 1, 3), p.transpose(0, 2, 3, 1)
-                qc, qx = q.transpose(0, 2, 1, 3), q.transpose(0, 2, 3, 1)
-            np.subtract(pc, px, out=blk)
-            blk += qc
-            blk -= qx
-            if bar:
-                p *= 2.0
-                blk += p
-                if q is not p:
-                    q *= 2.0
-                blk += q
-            if n:
-                out[a0:a1] += blk
+        blk = out[a0:a1]
+        p = q = p_buf[: a1 - a0]
+        if beta is alpha and not bar:
+            np.einsum("ac,bx->abcx", alpha[a0:a1], alpha, out=p)
+            pc, px = qc, qx = p, p.swapaxes(2, 3)
+        else:
+            np.einsum("ab,cx->abcx", alpha[a0:a1], beta, out=p)
+            if beta is not alpha:
+                q = q_buf[: a1 - a0]
+                np.einsum("ab,cx->abcx", beta[a0:a1], alpha, out=q)
+            pc, px = p.transpose(0, 2, 1, 3), p.transpose(0, 2, 3, 1)
+            qc, qx = q.transpose(0, 2, 1, 3), q.transpose(0, 2, 3, 1)
+        np.subtract(pc, px, out=blk)
+        blk += qc
+        blk -= qx
+        if bar:
+            p *= 2.0
+            blk += p
+            if q is not p:
+                q *= 2.0
+            blk += q
     return out
 
 
@@ -77,7 +71,7 @@ def form_owedge(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """First product of two (0,2)-tensors: with P(A,B,C,X) = alpha(A,B) beta(C,X),
     out(A,B,C,X) = P(A,C,B,X) - P(A,X,B,C) + P(B,X,A,C) - P(B,C,A,X).
     """
-    return form_sum([(alpha, beta, False)])
+    return _form_product(alpha, beta, False)
 
 
 def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -89,7 +83,7 @@ def form_obar(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     P(A,B,C,X) + P(B,A,C,X) and of P(A,B,C,X) + P(A,B,X,C) is fl(x) + fl(-x) = 0,
     so the check passes and P is built and checked only for other factors.
     """
-    return form_sum([(alpha, beta, True)])
+    return _form_product(alpha, beta, True)
 
 
 def adjoint_defect(endo: np.ndarray, metric: np.ndarray, *, skew: bool) -> float:
@@ -109,20 +103,18 @@ def _require_adjoint(name: str, endo: np.ndarray, metric: np.ndarray, skew: bool
         raise AdjointnessViolated(f"{name} fails {kind} by {defect:.2e}")
 
 
-def endo_owedge(e: np.ndarray, f: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Operator form of the first product on an orthonormal frame with the given signs.
+def endo_owedge(e: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Operator form of the self-product E . E on an orthonormal frame with the given
+    signs: E is lowered once with diag(signs), multiplied with itself, and raised on wedges."""
+    low = e.T * signs
+    return quadcov_to_lambda2_op(form_owedge(low, low), signs)
 
-    Both endomorphisms are lowered with diag(signs), multiplied, and raised on wedges.
-    """
-    return quadcov_to_lambda2_op(form_owedge(e.T * signs, f.T * signs), signs)
 
-
-def endo_obar(k: np.ndarray, l: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Operator form of the second product for two skew endomorphisms, as endo_owedge."""
-    metric = np.diag(signs)
-    _require_adjoint("first argument", k, metric, skew=True)
-    _require_adjoint("second argument", l, metric, skew=True)
-    return quadcov_to_lambda2_op(form_obar(k.T * signs, l.T * signs), signs)
+def endo_obar(k: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Operator form of the self-product K .bar. K for a skew endomorphism, as endo_owedge."""
+    _require_adjoint("K", k, np.diag(signs), skew=True)
+    low = k.T * signs
+    return quadcov_to_lambda2_op(form_obar(low, low), signs)
 
 
 def owedge_pair_trace(e: np.ndarray, f: np.ndarray) -> float:

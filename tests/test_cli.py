@@ -221,6 +221,17 @@ class TestKnownInputs:
         assert (row["max_residual"], row["passed"]) == (0.0, True)
         assert (code, failing_rows(out)) == (1, ["s_metric_compatibility"])
 
+    def test_gram_schmidt_defect_guard_refuses_an_ill_conditioned_frame(self, tmp_path, capsys):
+        # cond(g_h) ~ 8e7 at f_z = 1e-3: the defect is 3e-17 of max(|V||B||V|^T), but a guard
+        # scaled by that would let this point report norm_frame 38.20 for the closed 40
+        params = flat_model.ModelParams(1, 0.0)
+        point = flat_model.point_with_f_z(params, 1e-3, np.random.default_rng(18))
+        text = ",".join(repr(float(x)) for x in point)
+        code, out = run_json(tmp_path, ["norm", "--m", "1", "--c", "0", f"--point={text}"])
+        assert (code, out.exists()) == (1, False)
+        assert capsys.readouterr().err == ("error: orthonormalization defect 2.41e-09 "
+                                           "exceeds 1e-10\n")
+
     @pytest.mark.parametrize("profile,expected", [
         (lambda rho: 6.0 + max(0.0, rho - 50.0), 0.0),
         (lambda rho: 6.0 - max(0.0, rho - 50.0), 0.0),
@@ -256,6 +267,16 @@ class TestNorm:
         report = json.loads(out.read_text())["report"]
         assert_allclose(report["norm_closed"], 40.0, rtol=1e-12)
         assert_allclose(report["norm_frame"], 40.0, rtol=1e-8)
+
+    def test_negative_first_coordinate_needs_the_attached_form(self, tmp_path, capsys):
+        code, out = run_json(tmp_path, ["norm", "--m", "0", "--point=-2,0,0,0"])
+        assert code == 0
+        assert json.loads(out.read_text())["report"]["f_z"] == 2.0
+        # detached, argparse reads the value as an option and exits with its usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--m", "0", "--point", "-2,0,0,0"])
+        assert exc.value.code == 2
+        assert "--point: expected one argument" in capsys.readouterr().err
 
     def test_out_of_domain_point(self, capsys):
         code = main(["norm", "--m", "0", "--c", "1", "--point", "0.5,0,0,0"])
@@ -337,6 +358,20 @@ def clear_caches():
     flat_model.constant_tensors.cache_clear()
 
 
+def count_form_blocks(monkeypatch):
+    """Record the dimension of every g_h block built, by the closed route or the split."""
+    blocks = []
+    form_block = cli.corr.form_block
+
+    def counted(geom):
+        blocks.append(geom.d)
+        return form_block(geom)
+
+    for module in (cli.corr, curvature):
+        monkeypatch.setattr(module, "form_block", counted)
+    return blocks
+
+
 class TestCaches:
     def test_reports_do_not_depend_on_earlier_commands(self, tmp_path):
         # the twist support and the constant tensors are cached per parameter set: what
@@ -354,35 +389,29 @@ class TestCaches:
             assert (code, out.read_bytes()) == warm[n]
 
     def test_sweep_builds_the_twist_block_at_most_once(self, tmp_path, monkeypatch):
-        built = []
-        form_sum = cli.corr.form_sum
-
-        def counted(terms):
-            # the twist block's own product is the two-form product, the metric block's is not
-            built.append("twist" if terms[0][2] else "metric")
-            return form_sum(terms)
-
-        monkeypatch.setattr(cli.corr, "form_sum", counted)
+        blocks = count_form_blocks(monkeypatch)
         clear_caches()
         for _ in range(2):
             assert run_json(tmp_path, SWEEP_LARGE)[0] == 0
-        assert (built.count("twist"), built.count("metric")) == (1, 8)
+        # one metric block per sweep node, four nodes per run
+        assert (cli.corr.twist_support.cache_info().misses, len(blocks)) == (1, 8)
 
     def test_norm_forms_one_metric_product_per_block(self, tmp_path, monkeypatch):
-        # the closed route and the split each build the g_h block, from one product
-        # apiece: two products in all, where the four-term sums made eight
+        # the closed route and the split each build the g_h block, from one product apiece
+        blocks = count_form_blocks(monkeypatch)
         products = []
-        form_sum = cli.corr.form_sum
+        owedge = cli.corr.form_owedge
 
-        def counted(terms):
-            if not terms[0][2]:
-                products.append(len(terms))
-            return form_sum(terms)
+        def counted(alpha, beta):
+            products.append(alpha is beta)
+            return owedge(alpha, beta)
 
-        monkeypatch.setattr(cli.corr, "form_sum", counted)
         clear_caches()
+        cli.corr.twist_support(RunConfig(m=3, c=1.0).params)  # its products are not counted
+        monkeypatch.setattr(cli.corr, "form_owedge", counted)
         assert run_json(tmp_path, ["norm", "--m", "3", "--c", "1"])[0] == 0
-        assert products == [1, 1]
+        assert (blocks, products) == ([16, 16], [True, True])
+        assert cli.corr.twist_support.cache_info().misses == 1
 
     def test_config_builds_its_params_once(self):
         config = RunConfig(m=3, c=1.0, corrupt_omega2=True)

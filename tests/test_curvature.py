@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hkqk import cli, curvature, flat_model
-from hkqk.correspondence import form_block, rtilde_closed, twist_support
+from hkqk.correspondence import rtilde_closed, twist_support
 from hkqk.curvature import (
     SPLIT_NU,
     alekseevsky_split,
@@ -212,7 +212,7 @@ class TestSplitBits:
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_matches_the_general_product_path(self, m, corrupt):
-        # a copy as second factor: form_sum's general path, not its same-factor one
+        # a copy as second factor: the products' general path, not their same-factor one
         params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
         geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
         block = form_owedge(geom.g_h, geom.g_h.copy())
@@ -377,7 +377,10 @@ class TestSplit:
     def test_substitution_matches_einsum_exactly(self, m, corrupt):
         params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
         geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
-        block = form_block(geom, geom.omega_h, form_obar, form_owedge)
+        block = form_obar(geom.omega_h, geom.omega_h)
+        for k in (1, 2, 3):
+            f = geom.i_mu[k].T @ geom.omega_h
+            block += form_owedge(f, f)
         signed = block.copy()
         signed[0, 1, 2, 3], signed[1, 0, 3, 2] = -0.0, 0.0
         reference = 0.0

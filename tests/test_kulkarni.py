@@ -12,12 +12,11 @@ from hkqk.kulkarni import (
     endo_owedge,
     form_obar,
     form_owedge,
-    form_sum,
     mixed_pair_trace,
     obar_pair_trace,
     owedge_pair_trace,
 )
-from hkqk.pseudo_linear import compose_trace, pseudo_gram_schmidt
+from hkqk.pseudo_linear import compose_trace, pseudo_gram_schmidt, quadcov_to_lambda2_op
 
 
 def kn_owedge(p):
@@ -166,19 +165,20 @@ class TestBlockwiseExactness:
 
 
 # d = 20 has four rows per block, d = 24 two, d = 32 one
-FORM_SUM_SIZES = (4, 8, 12, 16, 20, 24, 32)
+BLOCK_TERM_SIZES = (4, 8, 12, 16, 20, 24, 32)
 
 
 def block_terms(rng, d, own_bar):
-    """Four same-factor terms shaped like a closed-route form block: a form of one
-    parity and three of the other, the own term first."""
+    """Four same-factor terms (alpha, beta, bar) shaped like a closed-route form block: a
+    form of one parity and three of the other, the own term first."""
     own = sparse_form(rng, d, -1.0 if own_bar else 1.0)
     turned = [sparse_form(rng, d, 1.0 if own_bar else -1.0) for _ in range(3)]
     return [(own, own, own_bar)] + [(f, f, not own_bar) for f in turned]
 
 
 def reference_sum(terms):
-    """Term by term: the first product, then each later one added to the full array."""
+    """Term by term from the defining formulas: the first product, then each later one
+    added to the full array; bar picks the second product. The reference of form_block."""
     def product(alpha, beta, bar):
         return reference_obar(alpha, beta) if bar else reference_owedge(alpha, beta)
 
@@ -188,30 +188,32 @@ def reference_sum(terms):
     return block
 
 
-class TestFormSum:
+def product_sum(terms):
+    """The same sum from form_obar and form_owedge, added left to right."""
+    block = None
+    for alpha, beta, bar in terms:
+        term = (form_obar if bar else form_owedge)(alpha, beta)
+        block = term if block is None else block + term
+    return block
+
+
+class TestBlockSums:
+    """Sums of products as the closed curvature route forms them agree with the defining
+    formulas bit for bit, on either product path."""
+
     @pytest.mark.parametrize("own_bar", (False, True))
-    @pytest.mark.parametrize("d", FORM_SUM_SIZES)
+    @pytest.mark.parametrize("d", BLOCK_TERM_SIZES)
     def test_same_factor_block_matches_term_by_term_sum(self, rng, d, own_bar):
         terms = block_terms(rng, d, own_bar)
         assert all(beta is alpha for alpha, beta, _ in terms)
-        assert_same_bits(form_sum(terms), reference_sum(terms))
+        assert_same_bits(product_sum(terms), reference_sum(terms))
 
-    @pytest.mark.parametrize("d", FORM_SUM_SIZES)
+    @pytest.mark.parametrize("d", BLOCK_TERM_SIZES)
     def test_equal_copy_matches_same_factor(self, rng, d):
         terms = block_terms(rng, d, False)
         copies = [(alpha, beta.copy(), bar) for alpha, beta, bar in terms]
-        assert_same_bits(form_sum(copies), form_sum(terms))
-        assert_same_bits(form_sum(copies), reference_sum(terms))
-
-    def test_non_skew_bar_term_raises_the_guard_message(self, rng):
-        j = standard_complex_structure(4)
-        sym = sparse_form(rng, 4, 1.0)
-        with pytest.raises(PairAntisymmetryViolated) as exc:
-            form_sum([(sym, sym, False), (j, j, True), (j + 1e-6 * np.eye(4), j, True)])
-        assert str(exc.value) == "pair antisymmetry defect 2.00e-06 > 1.00e-10 * scale 1.00e+00"
-        # a symmetric factor passes unchecked where it is an owedge term
-        assert_same_bits(form_sum([(j, j, True), (np.eye(4), np.eye(4), False)]),
-                         reference_sum([(j, j, True), (np.eye(4), np.eye(4), False)]))
+        assert_same_bits(product_sum(copies), product_sum(terms))
+        assert_same_bits(product_sum(copies), reference_sum(terms))
 
 
 def special_form(rng, d, sign, kind):
@@ -285,6 +287,12 @@ class TestObarGuard:
         assert_same_bits(form_obar(beta, alpha), reference_obar(beta, alpha))
         assert guard_calls == [(d,) * 4, (d,) * 4]
 
+    def test_owedge_product_takes_no_guard(self, guard_calls):
+        # a symmetric factor passes unchecked where it is an owedge product
+        eye = np.eye(4)
+        assert_same_bits(form_owedge(eye, eye), reference_owedge(eye, eye))
+        assert guard_calls == []
+
     def test_beyond_tolerance_raises_the_guard_message(self):
         j = standard_complex_structure(4)
         with pytest.raises(PairAntisymmetryViolated) as exc:
@@ -298,28 +306,28 @@ class TestObarGuard:
 class TestEndoProducts:
     def test_identity_owedge_identity(self):
         for d in (4, 6):
-            op = endo_owedge(np.eye(d), np.eye(d), np.ones(d))
+            op = endo_owedge(np.eye(d), np.ones(d))
             assert_allclose(op, 2.0 * np.eye(d * (d - 1) // 2), atol=1e-12)
             assert_allclose(compose_trace(op, op), 2.0 * d * d - 2.0 * d, rtol=1e-12)
 
     def test_zero_endomorphism(self):
         signs = np.array([-1.0, 1.0, 1.0, 1.0])
-        op = endo_owedge(np.zeros((4, 4)), np.eye(4), signs)
+        op = endo_owedge(np.zeros((4, 4)), signs)
         assert_allclose(op, 0.0)
-        op = endo_obar(np.zeros((4, 4)), np.zeros((4, 4)), signs)
+        op = endo_obar(np.zeros((4, 4)), signs)
         assert_allclose(op, 0.0)
 
     def test_self_adjoint_square_trace(self, rng):
         metric = signature_form(6, negatives=2)
         e = random_self_adjoint(rng, metric)
-        op = endo_owedge(e, e, np.diag(metric))
+        op = endo_owedge(e, np.diag(metric))
         e2 = e @ e
         expected = 2.0 * np.trace(e2) ** 2 - 2.0 * np.trace(e2 @ e2)
         assert_allclose(compose_trace(op, op), expected, rtol=1e-10)
 
     def test_complex_structure_obar_trace(self):
         j = standard_complex_structure(4)
-        op = endo_obar(j, j, np.ones(4))
+        op = endo_obar(j, np.ones(4))
         assert_allclose(compose_trace(op, op), 120.0, rtol=1e-12)
 
     def test_mixed_identity_value(self):
@@ -327,23 +335,42 @@ class TestEndoProducts:
         metric = signature_form(4)
         j = standard_complex_structure(4)
         eye = np.eye(4)
-        op_e = endo_owedge(eye, eye, np.ones(4))
-        op_j = endo_obar(j, j, np.ones(4))
+        op_e = endo_owedge(eye, np.ones(4))
+        op_j = endo_obar(j, np.ones(4))
         assert_allclose(compose_trace(op_e, op_j), 24.0, rtol=1e-12)
         assert_allclose(mixed_pair_trace(eye, j, metric), 24.0, rtol=1e-12)
 
     def test_obar_rejects_non_skew(self, rng):
-        with pytest.raises(AdjointnessViolated, match="first argument fails skew"):
-            endo_obar(np.eye(4), standard_complex_structure(4), np.ones(4))
-        with pytest.raises(AdjointnessViolated, match="second argument fails skew"):
-            endo_obar(standard_complex_structure(4), np.eye(4), np.ones(4))
+        with pytest.raises(AdjointnessViolated, match="K fails skew-adjointness by 2.00e"):
+            endo_obar(np.eye(4), np.ones(4))
+        # skew in the Euclidean metric, but not for the split signs
+        with pytest.raises(AdjointnessViolated, match="K fails skew"):
+            endo_obar(standard_complex_structure(4), np.array([-1.0, 1.0, 1.0, 1.0]))
 
     def test_obar_rejects_a_nan_argument(self):
         # a NaN adjointness defect fails the guard instead of reaching the operator
         j = standard_complex_structure(4)
         j[1, 2] = np.nan
-        with pytest.raises(AdjointnessViolated, match="first argument fails skew-adjointness by nan"):
-            endo_obar(j, standard_complex_structure(4), np.ones(4))
+        with pytest.raises(AdjointnessViolated, match="K fails skew-adjointness by nan"):
+            endo_obar(j, np.ones(4))
+
+
+class TestSelfProducts:
+    """endo_owedge and endo_obar lower their endomorphism once, so the product takes its
+    same-factor path; a lowered copy as second factor takes the general one. Both agree
+    bit for bit."""
+
+    @pytest.mark.parametrize("d", (4, 6, 8, 12))
+    @pytest.mark.parametrize("negatives", (0, 2, 4))
+    def test_matches_the_general_product_path(self, rng, d, negatives):
+        signs = np.diag(signature_form(d, negatives=negatives))
+        for endo, product, sign in ((endo_owedge, form_owedge, 1.0), (endo_obar, form_obar, -1.0)):
+            for _ in range(3):
+                # raised with the diagonal metric: self-adjoint for +1, skew for -1
+                e = signs[:, None] * sparse_form(rng, d, sign)
+                low = e.T * signs
+                expected = quadcov_to_lambda2_op(product(low, low.copy()), signs)
+                assert np.array_equal(endo(e, signs).view(np.uint64), expected.view(np.uint64))
 
 
 def brute_force_pair_trace(first, second, metric, kinds):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_spd_form, signature_form
-from hkqk.correspondence import s_closed_tensor, term_ds_fd
+from hkqk.correspondence import s_closed_tensor, s_parts_tensor, term_ds_fd
 from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViolated
 from hkqk.flat_model import ModelParams, deformed_metric, geometry_at, random_valid_point, scalars
 from hkqk.kulkarni import adjoint_defect, form_obar, form_owedge
@@ -388,7 +388,7 @@ class TestFiniteDiff:
         point = np.array([np.sqrt(2e-8) + 1.5e-5, 0.0, 0.0, 0.0])
         geom = geometry_at(params, point)
         with pytest.raises(DomainViolation) as err:
-            term_ds_fd(geom, s_source="parts")
+            term_ds_fd(geom, s_parts_tensor)
         at = "; at stencil coordinate 0, offset -h, h = 1.000e-05"
         assert str(err.value).endswith(at + at)
         assert str(err.value.__cause__).endswith(at) and not str(err.value.__cause__).endswith(at + at)
