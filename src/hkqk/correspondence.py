@@ -50,17 +50,19 @@ def _solve_koszul(g_h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.solve(g_h, flat).reshape(d, d, d)
 
 
-def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
+               metric: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
     """Deformation part of the correction, from the Koszul cyclic sum.
 
     2 g_h(S^h_A B, C) = (D_A g_h)(B, C) + (D_B g_h)(C, A) - (D_C g_h)(A, B),
     with the metric derivative taken by central finite differences. The
     five-point stencil is used: the metric's third derivatives grow as inverse
     powers of f_z, and near the domain edge the three-point stencil cannot
-    reach the relative accuracy this route is held to.
+    reach the relative accuracy this route is held to. ``metric`` gives g_h at
+    a stencil point; by default each point is one deformed_metric call.
     """
     params = geom.params
-    d_gh = finite_diff_gradient(lambda c: deformed_metric(params, c), geom.coords,
+    d_gh = finite_diff_gradient(metric or (lambda c: deformed_metric(params, c)), geom.coords,
                                 step=step, order=4)
     rhs = d_gh + np.einsum("bca->abc", d_gh) - np.einsum("cab->abc", d_gh)
     return _solve_koszul(geom.g_h, rhs)
@@ -174,9 +176,34 @@ def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.
 
     as arr[i, a, b, c], with S from the Koszul pieces and its derivative
     taken by finite differences.
+
+    The nest's mixed points p +/- h_k e_k +/- h_j e_j (j != k) are reached from outer k and
+    outer j with the same bytes (h_j reads the unshifted p_j; each coordinate is rounded once).
+    A dict local to this call holds each one's g_h from its first use to its second; it
+    stores no other point.
     """
+    params, centre = geom.params, geom.coords
+    ring = centre + step * np.fmax(np.abs(centre), 1.0) * np.array([[1.0], [-1.0]])  # p_j +/- h_j
+    k, j = np.triu_indices(centre.size, 1)
+    points = np.broadcast_to(centre, (2, 2, k.size, centre.size)).copy()  # [sign k, sign j, pair]
+    points[:, :, np.arange(k.size), k] = ring[:, None, k]
+    points[:, :, np.arange(k.size), j] = ring[None, :, j]
+    mixed, held = set(map(bytes, points.reshape(-1, centre.size))), {}
+    del points  # so that the nest runs without it
+
+    def metric(c):
+        key = c.tobytes()
+        g_h = held.pop(key, None)
+        if g_h is None:
+            g_h = deformed_metric(params, c)
+            if key in mixed:  # its first use; the key leaves the set for the dict
+                mixed.remove(key)
+                held[key] = g_h
+        return g_h
+
     s = s_parts_tensor(geom, step=step)
-    ds = term_ds_fd(geom, lambda at: s_parts_tensor(at, step=step), step=step)
+    ds = term_ds_fd(geom, lambda at: s_h_tensor(at, step=step, metric=metric) + s_q_tensor(at),
+                    step=step)
     return t_from_parts(geom, s, ds)
 
 

@@ -177,31 +177,26 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     values = coords.tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError("coordinates contain non-finite entries")
-    zc = coords[: 2 * params.q]
-    # Every sum of squares below is at most 2q top^2. Where that overflows, the checks
-    # below refuse the point anyway: base is then inf, nan, 0 or at least a few ulps of
-    # top^2 / 2q (> 1e280), so f_z is not positive or 8 f_h^2 is not finite. Refusing it
-    # here keeps numpy from warning about the overflow first.
-    zs = values[: zc.size]
-    top = max(max(zs), -min(zs))
+    # refused first, naming the coordinate, where 2q top^2 overflows; the checks below would
+    # refuse such a point too (base is then inf, nan, 0 or above 1e280)
+    zs = values[: 2 * params.q]
+    top = max(map(abs, zs))
     if not math.isfinite(len(zs) * top * top):
         raise DomainViolation(f"a z-coordinate of magnitude {top:.3e} is out of range: "
                               f"|z|^2 is not finite")
-    sq = zc * zc
-    z2 = sq[0::2] + sq[1::2]
-    base = z2[0] - np.add.reduce(z2[1:])
+    # in Python floats, rounded as numpy rounds them: squares as x * x (x ** 2 is C pow) and the
+    # z-block sum by numpy; 8 f_h^2, the largest product formed, overflows without a warning
+    pairs = iter(zs)
+    z2 = [x * x + y * y for x, y in zip(pairs, pairs)]
+    base = z2[0] - float(np.add.reduce(z2[1:]))
     f_z = 0.5 * base - 0.5 * params.c
     f_h = -0.5 * base - 0.5 * params.c
-    # 8 f_h^2 is the largest product the formulas form, since |f_h| = f_z + c >= f_z. In
-    # Python floats it overflows to inf without a RuntimeWarning, and unlike np.errstate
-    # it costs nothing on the hot path.
-    h = float(f_h)
-    if not math.isfinite(8.0 * h * h):
+    if not math.isfinite(8.0 * f_h * f_h):
         raise DomainViolation(f"f_z = {f_z:.3e} and f_h = {f_h:.3e} are out of range: "
                               f"8 f_h^2 is not finite")
     if f_z <= DOMAIN_EPS:
         raise DomainViolation(f"f_z = {f_z:.3e} is not positive (threshold {DOMAIN_EPS:.0e})")
-    return f_z, f_h, -base
+    return np.float64(f_z), np.float64(f_h), np.float64(-base)  # powers overflow to inf, not raise
 
 
 @dataclass(frozen=True, eq=False)

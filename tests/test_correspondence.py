@@ -2,11 +2,13 @@
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hkqk import correspondence
 from hkqk.correspondence import (
     _comm_groups,
     dz_plus_sz_closed,
@@ -24,10 +26,10 @@ from hkqk.correspondence import (
     term_ds_fd,
     twist_support,
 )
-from hkqk.flat_model import (DOMAIN_EPS, ModelParams, geometry_at, outer_supports,
-                             point_with_f_z, random_valid_point)
+from hkqk.flat_model import (DOMAIN_EPS, ModelParams, deformed_metric, geometry_at,
+                             outer_supports, point_with_f_z, random_valid_point)
 from hkqk.kulkarni import form_obar, form_owedge
-from hkqk.pseudo_linear import check_pair_antisymmetry, finite_diff_gradient
+from hkqk.pseudo_linear import DEFAULT_FD_STEP, check_pair_antisymmetry, finite_diff_gradient
 from test_kulkarni import reference_sum
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
@@ -242,6 +244,88 @@ class TestStencilMemory:
         # a per-coordinate loop holds d rows of d^3 floats and their stack; the buffer of
         # 2d values is as large, and 1 MB covers the field call that runs beside it
         assert peak <= 8 * 2 * d ** 4 + 2 ** 20
+
+    def test_nest_peak_holds_no_more_than_four_rank4_arrays(self):
+        # t_tensor_defining peaks in the assembly of T, beside the stencil's value buffer; the
+        # mixed points held during the nest (at most d^2 metrics of d^2 floats) stay below that
+        # peak, while a memo of every stencil point would reach about twice the bound
+        params = ModelParams(7, 1.0)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(7)))
+        t_tensor_defining(geom)  # fill the caches
+        d = params.d
+        tracemalloc.start()
+        try:
+            t_tensor_defining(geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * d ** 4 + 2 ** 21
+
+
+def nest_point(params, seed):
+    """A domain point with exact zeros of both signs (the last w pair) and x_0 > 1 just below
+    a power of two: its outer step crosses the binade, so fl(fl(x_0 + h) - h) != x_0."""
+    coords = random_valid_point(params, np.random.default_rng(seed))
+    coords[-2:] = 0.0, -0.0
+    x = 2.0 ** np.ceil(np.log2(abs(coords[0]) + 1.0)) * (1.0 - 2e-6)  # above |x_0|: f_z grows
+    while (x + DEFAULT_FD_STEP * x) - DEFAULT_FD_STEP * x == x:
+        x = np.nextafter(x, 0.0)
+    coords[0] = x
+    return coords
+
+
+def plain_nest(geom):
+    """The nest of t_tensor_defining with one deformed_metric call per stencil point."""
+    return t_from_parts(geom, s_parts_tensor(geom), term_ds_fd(geom, s_parts_tensor))
+
+
+class TestSharedNestPoints:
+    """t_tensor_defining evaluates each mixed point p +/- h_k e_k +/- h_j e_j (j != k) once."""
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_matches_the_plain_nest_bit_for_bit(self, monkeypatch, m, c, corrupt):
+        params = ModelParams(m, c, corrupt_omega2=corrupt)
+        geom = geometry_at(params, nest_point(params, 100 * m + int(c)))
+        expected = plain_nest(geom)
+        calls, fields, results = [], [], []
+
+        def counted(*args):
+            calls.append(args[1].tobytes())
+            return deformed_metric(*args)
+
+        def spied_s_h(at, **kwargs):
+            fields.append(kwargs.get("metric"))
+            return s_h_tensor(at, **kwargs)
+
+        def kept(*args, **kwargs):
+            results.append(t_tensor_defining(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(correspondence, "deformed_metric", counted)
+        monkeypatch.setattr(correspondence, "s_h_tensor", spied_s_h)
+        monkeypatch.setattr(correspondence, "t_tensor_defining", kept)
+        lowered = rtilde_direct(geom)
+        assert np.array_equal(bits(results[0]), bits(expected))
+        assert np.array_equal(bits(lowered), bits(np.einsum("iabc,ix->abcx", expected, geom.g_h)))
+        d, p = params.d, geom.coords
+        # the centre's 4d points, 4d per outer point, less the second uses of the mixed points
+        assert len(calls) == 4 * d * (2 * d + 1) - 2 * d * (d - 1)
+        # each mixed point, written as a copy of p with two entries shifted, is computed once
+        h = DEFAULT_FD_STEP * np.fmax(np.abs(p), 1.0)
+        counts = Counter(calls)
+        for k, j in zip(*np.triu_indices(d, 1)):
+            for sk, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                mixed = p.copy()
+                mixed[k] += sk * h[k]
+                mixed[j] += sj * h[j]
+                assert counts[mixed.tobytes()] == 1
+        # one field for the 2d outer points, and its dict is empty once the nest returns
+        assert fields[0] is None and len(fields) == 2 * d + 1 and len(set(fields[1:])) == 1
+        (held,) = [cell.cell_contents for cell in fields[1].__closure__
+                   if isinstance(cell.cell_contents, dict)]
+        assert held == {}
 
 
 class TestCurvatureRoutes:

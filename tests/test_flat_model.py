@@ -284,10 +284,11 @@ class TestKernelsMatchReference:
     # from m = 8 the z-block sum in scalars has 8 or more terms and numpy sums it pairwise
     @pytest.mark.parametrize("m", [0, 1, 3, 7, 8, 9])
     @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
-    def test_bit_for_bit(self, m, c):
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_bit_for_bit(self, m, c, corrupt):
         # stacked products and broadcast outer products round exactly as the formulas
         # written one term at a time, down to the sign of every zero
-        params = ModelParams(m, c)
+        params = ModelParams(m, c, corrupt_omega2=corrupt)
         rng = np.random.default_rng(1000 * m + int(c))
         points = [random_valid_point(params, rng) for _ in range(40)]
         for point in points[::4]:
@@ -301,12 +302,23 @@ class TestKernelsMatchReference:
             if f_z ** 2 != f_z * f_z:
                 points.append(point)
                 break
+        # and about 1 in 1000 coordinates: x ** 2 is C pow, which rounds apart from the
+        # reference's x * x; with the rest of the z-block 0, g(Z, Z) = -x_0 * x_0 exactly
+        point = random_valid_point(params, rng)
+        point[:2 * params.q] = 0.0
+        while point[0] ** 2 == point[0] * point[0]:
+            point[0] = rng.uniform(8.0, 16.0) * np.sqrt(1.0 + params.c)  # f_z > 30
+        points.append(point)
         for point in points:
             expected = reference_kernels(params, point)
             geom = geometry_at(params, point)
             for name in ("z_rot", "alpha", "g_alpha", "g_h", "k_compare"):
                 assert np.array_equal(bits(getattr(geom, name)), bits(expected[name])), name
-            assert np.array_equal(bits(scalars(params, point)), bits(expected["scalars"]))
+            values = scalars(params, point)
+            assert np.array_equal(bits(values), bits(expected["scalars"]))
+            # a Python float would raise OverflowError where np.float64 powers give inf
+            assert [type(v) for v in values] == [np.float64] * 3
+            assert type(geom.f_z) is type(geom.f_h) is type(geom.g_zz) is np.float64
             assert np.array_equal(bits(vector_z(params, point)), bits(expected["z_rot"]))
             assert np.array_equal(bits(deformed_metric(params, point)), bits(expected["g_h"]))
 
