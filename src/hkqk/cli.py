@@ -183,7 +183,7 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     res["s_torsion_formula"] = float(np.abs(torsion).max())
 
     d_gh = finite_diff_gradient(lambda c: fm.deformed_metric(config.params, c), geom.coords,
-                                step=step)
+                                step=step, stacked=True)
     compat = (d_gh - np.einsum("iab,ic->abc", sc, gh) - np.einsum("iac,ib->abc", sc, gh))
     res["s_metric_compatibility"] = float(np.abs(compat).max() / max(1.0, np.abs(d_gh).max()))
 

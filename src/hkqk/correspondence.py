@@ -59,11 +59,12 @@ def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
     five-point stencil is used: the metric's third derivatives grow as inverse
     powers of f_z, and near the domain edge the three-point stencil cannot
     reach the relative accuracy this route is held to. ``metric`` gives g_h at
-    a stencil point; by default each point is one deformed_metric call.
+    a stack of stencil points, the whole stencil in one call; by default each
+    point is one deformed_metric call.
     """
     params = geom.params
     d_gh = finite_diff_gradient(metric or (lambda c: deformed_metric(params, c)), geom.coords,
-                                step=step, order=4)
+                                step=step, order=4, stacked=metric is not None)
     rhs = d_gh + np.einsum("bca->abc", d_gh) - np.einsum("cab->abc", d_gh)
     return _solve_koszul(geom.g_h, rhs)
 
@@ -174,36 +175,12 @@ def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.
     T(A,B)C = (D_A S)_B C - (D_B S)_A C + [S_A, S_B] C
               - w_h(A,B) (D_C Z + S_Z C) / f_h
 
-    as arr[i, a, b, c], with S from the Koszul pieces and its derivative
-    taken by finite differences.
-
-    The nest's mixed points p +/- h_k e_k +/- h_j e_j (j != k) are reached from outer k and
-    outer j with the same bytes (h_j reads the unshifted p_j; each coordinate is rounded once).
-    A dict local to this call holds each one's g_h from its first use to its second; it
-    stores no other point.
+    as arr[i, a, b, c], with S from the Koszul pieces and its derivative taken by
+    finite differences; each inner Koszul stencil is one stacked deformed_metric call.
     """
-    params, centre = geom.params, geom.coords
-    ring = centre + step * np.fmax(np.abs(centre), 1.0) * np.array([[1.0], [-1.0]])  # p_j +/- h_j
-    k, j = np.triu_indices(centre.size, 1)
-    points = np.broadcast_to(centre, (2, 2, k.size, centre.size)).copy()  # [sign k, sign j, pair]
-    points[:, :, np.arange(k.size), k] = ring[:, None, k]
-    points[:, :, np.arange(k.size), j] = ring[None, :, j]
-    mixed, held = set(map(bytes, points.reshape(-1, centre.size))), {}
-    del points  # so that the nest runs without it
-
-    def metric(c):
-        key = c.tobytes()
-        g_h = held.pop(key, None)
-        if g_h is None:
-            g_h = deformed_metric(params, c)
-            if key in mixed:  # its first use; the key leaves the set for the dict
-                mixed.remove(key)
-                held[key] = g_h
-        return g_h
-
     s = s_parts_tensor(geom, step=step)
-    ds = term_ds_fd(geom, lambda at: s_h_tensor(at, step=step, metric=metric) + s_q_tensor(at),
-                    step=step)
+    ds = term_ds_fd(geom, lambda at: s_h_tensor(at, step=step, metric=lambda points: (
+        deformed_metric(geom.params, points))) + s_q_tensor(at), step=step)
     return t_from_parts(geom, s, ds)
 
 

@@ -234,15 +234,15 @@ class GeometryAt(ConstantTensors):
 
 
 def _stacked_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_mu left[mu] (x) right[mu] over the rows of two (4, d) arrays, added as
+    """sum_mu left[..., mu, :] (x) right[..., mu, :] over (..., 4, d) arrays, added as
     ((0 + P_0) + P_1) + ... so that each entry is rounded in the order of a sum over mu."""
-    return np.add.reduce(left[:, :, None] * right[:, None, :], initial=0.0)
+    return np.add.reduce(left[..., :, None] * right[..., None, :], axis=-3, initial=0.0)
 
 
-def _metric_data(g: np.ndarray, f_z: float, alpha: np.ndarray):
-    """g_alpha = sum_mu alpha_mu^2 and g_h = g/f_z + g_alpha/f_z^2, from the rows of alpha."""
+def _metric_data(g: np.ndarray, f_z, alpha: np.ndarray):
+    """g_alpha = sum_mu alpha_mu^2 and g_h = g/f_z + g_alpha/f_z^2, over any leading axes."""
     g_alpha = _stacked_sum(alpha, alpha)
-    return g_alpha, g / f_z + g_alpha / f_z ** 2
+    return g_alpha, g / f_z + g_alpha / np.float_power(f_z, 2.0)  # C pow, as a float's ** 2
 
 
 # keyed on (m, corrupt_omega2): c changes no constant tensor, and the key compares no dataclass
@@ -261,10 +261,26 @@ def alpha_gather(m: int, corrupt_omega2: bool) -> tuple[np.ndarray, np.ndarray, 
 
 
 def deformed_metric(params: ModelParams, coords: np.ndarray) -> np.ndarray:
-    """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain."""
-    f_z = scalars(params, coords)[0]
+    """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain:
+    (d, d) at one point, or (n, d, d) at the rows of an (n, d) stack. A stack's f_z rounds as in
+    scalars, its checks run on all rows at once, and scalars raises for the first that fails."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape[1:] != (params.d,):  # one point, or the shape error of a stack
+        f_z = scalars(params, coords)[0]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # only refused rows overflow
+            zs = coords[:, : 2 * params.q]
+            z2 = zs[:, 0::2] * zs[:, 0::2] + zs[:, 1::2] * zs[:, 1::2]
+            base = z2[:, 0] - np.add.reduce(z2[:, 1:], axis=1)
+            f_z, f_h = 0.5 * base - 0.5 * params.c, -0.5 * base - 0.5 * params.c
+            top = np.abs(zs).max(axis=1)
+            ok = (np.isfinite(coords).all(axis=1) & np.isfinite(zs.shape[1] * top * top)
+                  & np.isfinite(8.0 * f_h * f_h) & (f_z > DOMAIN_EPS))
+        if not ok.all():
+            scalars(params, coords[ok.argmin()])
+        f_z = f_z[:, None, None]
     index, sign, g = alpha_gather(params.m, params.corrupt_omega2)
-    return _metric_data(g, f_z, np.asarray(coords, dtype=float)[index] * sign)[1]
+    return _metric_data(g, f_z, coords[..., index] * sign)[1]
 
 
 def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:

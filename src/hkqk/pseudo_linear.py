@@ -112,15 +112,16 @@ def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
                          coords: np.ndarray, *, step: float = DEFAULT_FD_STEP,
-                         order: int = 2) -> np.ndarray:
+                         order: int = 2, stacked: bool = False) -> np.ndarray:
     """Central differences of a field along every coordinate; the derivative index is axis 0.
 
     The step is scaled per coordinate, h = step * max(1, |coords[k]|). The default is the
     two-point second-order stencil (field(p + h e) - field(p - h e)) / (2 h); order=4 selects
     the five-point stencil for fields whose higher derivatives blow up near the domain edge.
     The shifted points are the rows of one array, k outer and the offsets +2h, +h, -h, -2h
-    inner; each value goes into one buffer, on which the formula runs once, in place. A
-    DomainViolation at a point is raised again, chained, naming k, the offset and h.
+    inner, all in one call to a stacked field; each value goes into one buffer, on which the
+    formula runs once, in place. A DomainViolation at a point is raised again, chained, naming
+    k, the offset and h; after a stacked field's, the points are replayed one at a time.
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
@@ -129,16 +130,22 @@ def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
     h = step * np.fmax(np.abs(coords), 1.0)
     points = np.tile(coords, (n, offsets.size, 1))  # [k, j]: offsets[j] * h[k] added to coords[k]
     points[np.arange(n), :, np.arange(n)] += h[:, None] * offsets
-    for i, point in enumerate(points.reshape(-1, n)):
+    try:
+        values = field(points.reshape(-1, n)) if stacked else None
+    except DomainViolation:
+        values = None
+    if values is not None:  # v[j]: every field(p + offsets[j] h e)
+        v = np.swapaxes(values.reshape((n, offsets.size) + values.shape[1:]), 0, 1).copy()
+    for i, point in enumerate(points.reshape(-1, n) if values is None else ()):
         k, j = divmod(i, offsets.size)
         try:
-            value = field(point)
+            value = field(point[None])[0] if stacked else field(point)
         except DomainViolation as err:
             offset = ("+2h", "+h", "-h", "-2h")[j + (order == 2)]
             raise DomainViolation(f"{err}; at stencil coordinate {k}, offset {offset}, "
                                   f"h = {h[k]:.3e}") from err
         if not i:
-            v = np.empty((offsets.size, n) + np.shape(value))  # v[j]: every field(p + offsets[j] h e)
+            v = np.empty((offsets.size, n) + np.shape(value))
         v[j, k] = value
         del value  # so that the next call runs without it
     out = v[0]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from hkqk.correspondence import (
     term_ds_fd,
     twist_support,
 )
+from hkqk.errors import DomainViolation
 from hkqk.flat_model import (DOMAIN_EPS, ModelParams, deformed_metric, geometry_at,
                              outer_supports, point_with_f_z, random_valid_point)
 from hkqk.kulkarni import form_obar, form_owedge
@@ -246,8 +246,8 @@ class TestStencilMemory:
         assert peak <= 8 * 2 * d ** 4 + 2 ** 20
 
     def test_nest_peak_holds_no_more_than_four_rank4_arrays(self):
-        # t_tensor_defining peaks in the assembly of T, beside the stencil's value buffer; the
-        # mixed points held during the nest (at most d^2 metrics of d^2 floats) stay below that
+        # t_tensor_defining peaks in the assembly of T, beside the stencil's value buffer; one
+        # inner stencil's stack (4d metrics of d^2 floats, and its buffer) stays below that
         # peak, while a memo of every stencil point would reach about twice the bound
         params = ModelParams(7, 1.0)
         geom = geometry_at(params, random_valid_point(params, np.random.default_rng(7)))
@@ -279,8 +279,8 @@ def plain_nest(geom):
     return t_from_parts(geom, s_parts_tensor(geom), term_ds_fd(geom, s_parts_tensor))
 
 
-class TestSharedNestPoints:
-    """t_tensor_defining evaluates each mixed point p +/- h_k e_k +/- h_j e_j (j != k) once."""
+class TestStackedNest:
+    """t_tensor_defining evaluates each inner Koszul stencil as one deformed_metric stack."""
 
     @pytest.mark.parametrize("m", [0, 1, 3, 7])
     @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
@@ -289,43 +289,41 @@ class TestSharedNestPoints:
         params = ModelParams(m, c, corrupt_omega2=corrupt)
         geom = geometry_at(params, nest_point(params, 100 * m + int(c)))
         expected = plain_nest(geom)
-        calls, fields, results = [], [], []
+        shapes, results = [], []
 
         def counted(*args):
-            calls.append(args[1].tobytes())
+            shapes.append(np.shape(args[1]))
             return deformed_metric(*args)
-
-        def spied_s_h(at, **kwargs):
-            fields.append(kwargs.get("metric"))
-            return s_h_tensor(at, **kwargs)
 
         def kept(*args, **kwargs):
             results.append(t_tensor_defining(*args, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(correspondence, "deformed_metric", counted)
-        monkeypatch.setattr(correspondence, "s_h_tensor", spied_s_h)
         monkeypatch.setattr(correspondence, "t_tensor_defining", kept)
         lowered = rtilde_direct(geom)
         assert np.array_equal(bits(results[0]), bits(expected))
         assert np.array_equal(bits(lowered), bits(np.einsum("iabc,ix->abcx", expected, geom.g_h)))
-        d, p = params.d, geom.coords
-        # the centre's 4d points, 4d per outer point, less the second uses of the mixed points
-        assert len(calls) == 4 * d * (2 * d + 1) - 2 * d * (d - 1)
-        # each mixed point, written as a copy of p with two entries shifted, is computed once
-        h = DEFAULT_FD_STEP * np.fmax(np.abs(p), 1.0)
-        counts = Counter(calls)
-        for k, j in zip(*np.triu_indices(d, 1)):
-            for sk, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                mixed = p.copy()
-                mixed[k] += sk * h[k]
-                mixed[j] += sj * h[j]
-                assert counts[mixed.tobytes()] == 1
-        # one field for the 2d outer points, and its dict is empty once the nest returns
-        assert fields[0] is None and len(fields) == 2 * d + 1 and len(set(fields[1:])) == 1
-        (held,) = [cell.cell_contents for cell in fields[1].__closure__
-                   if isinstance(cell.cell_contents, dict)]
-        assert held == {}
+        # the centre's 4d points one at a time, then one stack of 4d rows per outer point
+        d = params.d
+        assert shapes == [(d,)] * 4 * d + [(4 * d, d)] * 2 * d
+
+    @pytest.mark.parametrize("f_z, seed, message", [
+        # the centre's own stencil leaves the domain
+        (1e-3, 0, "f_z = -2.351e-04 is not positive (threshold 1e-08); "
+                  "at stencil coordinate 0, offset +2h, h = 7.859e-05"),
+        # only the stacked stencil around an outer point does, one step further out
+        (2.5e-3, 2, "f_z = -4.664e-04 is not positive (threshold 1e-08); "
+                    "at stencil coordinate 1, offset +2h, h = 9.944e-05; "
+                    "at stencil coordinate 1, offset +h, h = 9.944e-05"),
+    ])
+    def test_domain_violation_text_near_the_edge(self, f_z, seed, message):
+        params = ModelParams(1, 100.0)
+        geom = geometry_at(params, point_with_f_z(params, f_z, np.random.default_rng(seed)))
+        with pytest.raises(DomainViolation) as err:
+            rtilde_direct(geom)
+        assert str(err.value) == message
+        assert type(err.value.__cause__) is DomainViolation
 
 
 class TestCurvatureRoutes:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,12 @@ class TestKernelsMatchReference:
             assert type(geom.f_z) is type(geom.f_h) is type(geom.g_zz) is np.float64
             assert np.array_equal(bits(vector_z(params, point)), bits(expected["z_rot"]))
             assert np.array_equal(bits(deformed_metric(params, point)), bits(expected["g_h"]))
+        # the same points as one stack, and as five shifted copies each of the last two
+        stack = np.stack(points)
+        shifted = stack[-2:, None, :] + np.array([-2.0, -1.0, 1.0, 2.0, 0.0])[:, None] * 1e-5
+        for stack in (stack, shifted.reshape(-1, params.d)):
+            rows = np.stack([deformed_metric(params, point) for point in stack])
+            assert np.array_equal(bits(deformed_metric(params, stack)), bits(rows))
 
     def test_domain_and_shape_messages(self):
         params = ModelParams(0, 1.0)
@@ -342,6 +349,30 @@ class TestKernelsMatchReference:
             for evaluate in (scalars, deformed_metric, geometry_at):
                 with pytest.raises(error, match=f"^{re.escape(message)}$"):
                     evaluate(params, coords)
+        # a stack whose rows are not points names the shape of the whole stack
+        with pytest.raises(ValueError, match=re.escape("got shape (3, 6)")):
+            deformed_metric(params, np.zeros((3, 6)))
+
+    def test_stack_raises_what_scalars_raises_for_its_first_failing_row(self):
+        # each refused input of the tests above, at row i > 0 of a stack and before another
+        # refused row; the checks run on every row at once and warn of nothing
+        cases = [(ModelParams(0, 1.0), coords) for coords in (
+            [2.0, np.nan, 0.0, 0.0], [2.0, 0.0, -np.inf, 0.0], [1e200, 0.0, 0.0, 0.0],
+            [1e100, 0.0, 0.0, 0.0], [0.5, 0.0, 3.0, 0.0], [1e154, -1e154, 0.0, 0.0])]
+        cases += [(ModelParams(1), [1e200, 0.0, 1e200, 0.0] + [0.0] * 4),
+                  (ModelParams(0), [1e-4, 0.0, 0.0, 0.0])]  # 0 < f_z = 5e-9 <= DOMAIN_EPS
+        for params, coords in cases:
+            with pytest.raises((ValueError, DomainViolation)) as expected:
+                scalars(params, np.array(coords))
+            valid = random_valid_point(params, np.random.default_rng(5))
+            later = np.zeros(params.d)  # refused too: f_z = -c/2
+            for i in (1, 4):
+                stack = np.stack([valid] * i + [coords, later, valid])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(type(expected.value),
+                                       match=f"^{re.escape(str(expected.value))}$"):
+                        deformed_metric(params, stack)
 
 
 class TestAlphaGather:

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_spd_form, signature_form
-from hkqk.correspondence import s_closed_tensor, s_parts_tensor, term_ds_fd
+from hkqk.correspondence import (s_closed_tensor, s_h_tensor, s_parts_tensor, s_q_tensor,
+                                  term_ds_fd)
 from hkqk.errors import DegenerateMetric, DomainViolation, PairAntisymmetryViolated
 from hkqk.flat_model import ModelParams, deformed_metric, geometry_at, random_valid_point, scalars
 from hkqk.kulkarni import adjoint_defect, form_obar, form_owedge
@@ -370,25 +371,32 @@ class TestFiniteDiff:
         with pytest.raises(DomainViolation):
             finite_diff_gradient(lambda c: scalars(params, c)[0], point)
 
-    def test_domain_violation_names_the_stencil_point(self):
-        # the point above fails at x_0 - h, after x_0 + h passed
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_domain_violation_names_the_stencil_point(self, stacked):
+        # the point above fails at x_0 - h, after x_0 + h passed; a stacked field's points are
+        # replayed one at a time to name it
         params = ModelParams(0, 0.0)
         point = np.array([np.sqrt(2.1e-8), 0.0, 0.0, 0.0])
+        field = (lambda points: deformed_metric(params, points)) if stacked else (
+            lambda c: scalars(params, c)[0])
         with pytest.raises(DomainViolation) as err:
-            finite_diff_gradient(lambda c: scalars(params, c)[0], point)
+            finite_diff_gradient(field, point, stacked=stacked)
         cause = err.value.__cause__
         assert type(cause) is DomainViolation and re.fullmatch(
             r"f_z = \S+ is not positive \(threshold 1e-08\)", str(cause))
         assert str(err.value) == f"{cause}; at stencil coordinate 0, offset -h, h = 1.000e-05"
 
-    def test_nested_stencils_name_both_points(self):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_nested_stencils_name_both_points(self, stacked):
         # the outer point x_0 - h is inside the domain, and the Koszul stencil around it
         # leaves the domain at its own x_0 - h, 2h below the sample
         params = ModelParams(0, 0.0)
         point = np.array([np.sqrt(2e-8) + 1.5e-5, 0.0, 0.0, 0.0])
         geom = geometry_at(params, point)
+        correction = (lambda at: s_h_tensor(at, metric=lambda points: deformed_metric(
+            params, points)) + s_q_tensor(at)) if stacked else s_parts_tensor
         with pytest.raises(DomainViolation) as err:
-            term_ds_fd(geom, s_parts_tensor)
+            term_ds_fd(geom, correction)
         at = "; at stencil coordinate 0, offset -h, h = 1.000e-05"
         assert str(err.value).endswith(at + at)
         assert str(err.value.__cause__).endswith(at) and not str(err.value.__cause__).endswith(at + at)
@@ -469,20 +477,33 @@ class TestStencilMatchesReference:
             got = finite_diff_gradient(field, point, order=order)
             expected = reference_gradient(field, point, order=order)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # deformed_metric as a stacked field: every point of the stencil in one call
+        got = finite_diff_gradient(lambda points: deformed_metric(params, points), point,
+                                   order=order, stacked=True)
+        expected = reference_gradient(lambda c: deformed_metric(params, c), point, order=order)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("order", [2, 4])
-    def test_first_failing_point_is_the_reference_one(self, order):
-        # several points leave the domain; each message names the point it was raised at
+    def test_first_failing_point_is_the_reference_one(self, order, stacked):
+        # several points leave the domain; each message names the point it was raised at, and
+        # a stacked field that raises names its last refused point, which the replay must not
         def field(c):
             if c[1] > 0.999995 or c[3] < -13.0001:
                 raise DomainViolation(f"left the domain at {c.tolist()}")
             return c * c
 
+        def stacked_field(points):
+            for c in points[::-1]:
+                field(c)
+            return points * points
+
         coords = np.array([0.3, 0.999993, 2.5, -13.0, 0.0, -0.0])
         with pytest.raises(DomainViolation) as expected:
             reference_gradient(field, coords, order=order)
         with pytest.raises(DomainViolation) as got:
-            finite_diff_gradient(field, coords, order=order)
+            finite_diff_gradient(stacked_field if stacked else field, coords, order=order,
+                                 stacked=stacked)
         offset = "+h" if order == 2 else "+2h"
         assert str(got.value.__cause__) == str(expected.value)
         assert str(got.value) == f"{expected.value}; at stencil coordinate 1, offset {offset}, h = 1.000e-05"
