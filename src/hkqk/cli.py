@@ -170,7 +170,8 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     gh, oh = geom.g_h, geom.omega_h
 
     sc = corr.s_closed_tensor(geom)
-    sh = corr.s_h_tensor(geom, step=step)
+    sh = corr.s_h_tensor(geom, step=step,
+                         metric=lambda points: fm.deformed_metric(config.params, points))
     sq = corr.s_q_tensor(geom)
     res["s_parts_vs_closed_rel"] = float(np.abs(sh + sq - sc).max() / np.abs(sc).max())
     # each structural defect is in units of the terms it sums, floored at 1
@@ -199,7 +200,7 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     res["t_assembly"] = float(np.abs(corr.t_from_parts(geom, sc, ds_fd) - assembled).max())
 
     rt_closed = corr.rtilde_closed(geom)
-    rt_direct = corr.rtilde_direct(geom, step=step)
+    rt_direct = corr.rtilde_direct(geom, step=step, s_h=sh)
     scale = max(1.0, np.abs(rt_closed).max())
     res["rtilde_direct_vs_closed"] = float(np.abs(rt_closed - rt_direct).max() / scale)
     (res["rtilde_pair_antisymmetry"], res["rtilde_pair_symmetry"],

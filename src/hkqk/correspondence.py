@@ -12,7 +12,7 @@ the module's central cross-check; all functions are pure in the snapshot.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -24,30 +24,32 @@ from .pseudo_linear import DEFAULT_FD_STEP, finite_diff_gradient, require_pair_a
 
 
 def s_closed_tensor(geom: GeometryAt) -> np.ndarray:
-    """Closed formula for the correction, as arr[i, a, b] = (S_{e_a} e_b)_i:
+    """Closed formula for the correction, as arr[..., i, a, b] = (S_{e_a} e_b)_i:
 
     S_A B = 1/2 sum_mu [ g(I_mu I_h A, B) I_mu Z / f_h
                          - (alpha_mu(A) I_mu I_1 B + alpha_mu(B) I_mu I_1 A) / f_z ]
+
+    with the leading axis of a stacked snapshot; z @ I_mu.T rounds as I_mu @ z (signed permutations).
     """
     d = geom.d
     g, i_h, z = geom.g, geom.i_h, geom.z_rot
+    f_z, f_h = geom.f_z[..., None, None, None], geom.f_h[..., None, None, None]
     i1 = geom.i_mu[1]
-    s = np.zeros((d, d, d))
-    for mu in range(4):
-        im = geom.i_mu[mu]
+    s = np.zeros(z.shape[:-1] + (d, d, d))
+    for im, alpha in zip(geom.i_mu, np.moveaxis(geom.alpha, -2, 0)):
         coeff = (im @ i_h).T @ g      # g(I_mu I_h A, B)
         im_i1 = im @ i1
-        s += 0.5 / geom.f_h * np.einsum("ab,i->iab", coeff, im @ z)
-        s -= 0.5 / geom.f_z * (np.einsum("a,ib->iab", geom.alpha[mu], im_i1)
-                               + np.einsum("b,ia->iab", geom.alpha[mu], im_i1))
+        s += 0.5 / f_h * np.einsum("ab,...i->...iab", coeff, z @ im.T)
+        s -= 0.5 / f_z * (np.einsum("...a,ib->...iab", alpha, im_i1)
+                          + np.einsum("...b,ia->...iab", alpha, im_i1))
     return s
 
 
 def _solve_koszul(g_h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve 2 g_h(S_a b, .) = rhs[a, b, .] for all slots at once."""
-    d = g_h.shape[0]
-    flat = rhs.transpose(2, 0, 1).reshape(d, d * d)
-    return 0.5 * np.linalg.solve(g_h, flat).reshape(d, d, d)
+    """Solve 2 g_h(S_a b, .) = rhs[..., a, b, .] for all slots and stacked points at once."""
+    d = g_h.shape[-1]
+    flat = np.moveaxis(rhs, -1, -3).reshape(rhs.shape[:-3] + (d, d * d))
+    return 0.5 * np.linalg.solve(g_h, flat).reshape(rhs.shape)
 
 
 def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
@@ -60,12 +62,16 @@ def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
     powers of f_z, and near the domain edge the three-point stencil cannot
     reach the relative accuracy this route is held to. ``metric`` gives g_h at
     a stack of stencil points, the whole stencil in one call; by default each
-    point is one deformed_metric call.
+    point is one deformed_metric call. A stacked snapshot takes one stencil per
+    point and one batched solve.
     """
-    params = geom.params
-    d_gh = finite_diff_gradient(metric or (lambda c: deformed_metric(params, c)), geom.coords,
-                                step=step, order=4, stacked=metric is not None)
-    rhs = d_gh + np.einsum("bca->abc", d_gh) - np.einsum("cab->abc", d_gh)
+    params, d = geom.params, geom.d
+    field = metric or (lambda c: deformed_metric(params, c))
+    d_gh = np.empty(geom.coords.shape[:-1] + (d,) * 3)
+    for centre, out in zip(geom.coords.reshape(-1, d), d_gh.reshape(-1, d, d, d)):
+        out[...] = finite_diff_gradient(field, centre, step=step, order=4,
+                                        stacked=metric is not None)
+    rhs = d_gh + np.einsum("...bca->...abc", d_gh) - np.einsum("...cab->...abc", d_gh)
     return _solve_koszul(geom.g_h, rhs)
 
 
@@ -74,10 +80,10 @@ def s_q_tensor(geom: GeometryAt) -> np.ndarray:
 
     2 g_h(S^q_A B, C) = [g_h(Z,C) w_h(A,B) - g_h(Z,A) w_h(B,C) - g_h(Z,B) w_h(A,C)] / f_h
     """
-    gz = geom.g_h @ geom.z_rot
+    gz = np.matmul(geom.g_h, geom.z_rot[..., None])[..., 0]
     oh = geom.omega_h
-    rhs = (np.einsum("c,ab->abc", gz, oh) - np.einsum("a,bc->abc", gz, oh)
-           - np.einsum("b,ac->abc", gz, oh)) / geom.f_h
+    rhs = (np.einsum("...c,ab->...abc", gz, oh) - np.einsum("...a,bc->...abc", gz, oh)
+           - np.einsum("...b,ac->...abc", gz, oh)) / geom.f_h[..., None, None, None]
     return _solve_koszul(geom.g_h, rhs)
 
 
@@ -163,25 +169,39 @@ def dz_plus_sz_closed(geom: GeometryAt) -> np.ndarray:
 
 def term_ds_fd(geom: GeometryAt, correction: Callable[[GeometryAt], np.ndarray], *,
                step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Defining evaluation of (D_A S)_B C - (D_B S)_A C by differentiating S = correction(snapshot)."""
-    d_s = finite_diff_gradient(lambda c: correction(geometry_at(geom.params, c)), geom.coords,
-                               step=step)
+    """Defining evaluation of (D_A S)_B C - (D_B S)_A C by differentiating S = correction(snapshot).
+
+    The stencil's points are evaluated as stacked snapshots, in blocks of rows whose values
+    fill at most BLOCK_BYTES, each block written into the stencil's buffer."""
+    params, d = geom.params, geom.d
+    rows = max(1, BLOCK_BYTES // (8 * d ** 3))
+
+    def field(points):
+        values = np.empty((len(points),) + (d,) * 3)
+        for r0 in range(0, len(points), rows):
+            values[r0:r0 + rows] = correction(geometry_at(params, points[r0:r0 + rows]))
+        return values
+
+    d_s = finite_diff_gradient(field, geom.coords, step=step, stacked=True)
     return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
 
 
-def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def t_tensor_defining(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
+                      s_h: np.ndarray | None = None) -> np.ndarray:
     """Twist-corrected curvature contribution from the defining expression:
 
     T(A,B)C = (D_A S)_B C - (D_B S)_A C + [S_A, S_B] C
               - w_h(A,B) (D_C Z + S_Z C) / f_h
 
     as arr[i, a, b, c], with S from the Koszul pieces and its derivative taken by
-    finite differences; each inner Koszul stencil is one stacked deformed_metric call.
+    finite differences over stacked snapshots; each inner Koszul stencil is one stacked
+    deformed_metric call. ``s_h`` is the Koszul S^h at the centre, where the caller has it.
     """
-    s = s_parts_tensor(geom, step=step)
-    ds = term_ds_fd(geom, lambda at: s_h_tensor(at, step=step, metric=lambda points: (
-        deformed_metric(geom.params, points))) + s_q_tensor(at), step=step)
-    return t_from_parts(geom, s, ds)
+    metric = partial(deformed_metric, geom.params)
+    s_h = s_h_tensor(geom, step=step, metric=metric) if s_h is None else s_h
+    ds = term_ds_fd(geom, lambda at: s_h_tensor(at, step=step, metric=metric) + s_q_tensor(at),
+                    step=step)
+    return t_from_parts(geom, s_h + s_q_tensor(geom), ds)
 
 
 def t_from_parts(geom: GeometryAt, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -266,11 +286,12 @@ def rtilde_closed(geom: GeometryAt) -> np.ndarray:
     return rt
 
 
-def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def rtilde_direct(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
+                  s_h: np.ndarray | None = None) -> np.ndarray:
     """Defining route: lower T with the deformed metric (R + T with R = 0).
 
     The correction itself comes from the Koszul pieces, so this path shares
     nothing with the closed formulas it is checked against.
     """
-    t13 = t_tensor_defining(geom, step=step)
+    t13 = t_tensor_defining(geom, step=step, s_h=s_h)
     return np.einsum("iabc,ix->abcx", t13, geom.g_h)

@@ -147,22 +147,25 @@ def hk_type_residual(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator)
     """Largest commutator entry of the raised remainder with the complex structures.
 
     Draws HK_TRIALS random unit pairs (A, B), raises r1(A, B, ., .) to an
-    endomorphism with the deformed metric, and returns max over trials and k
-    of |[r1(A,B), I_k]| entries.
+    endomorphism with the deformed metric (see raised_trials), and returns max
+    over trials and k of |[r1(A,B), I_k]| entries.
     """
-    gh_inv = np.linalg.inv(geom.g_h)
+    endo = raised_trials(geom, r1, rng)
     worst = 0.0
-    for _ in range(HK_TRIALS):
-        a = rng.standard_normal(geom.d)
-        b = rng.standard_normal(geom.d)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        lowered = np.einsum("abcx,a,b->cx", r1, a, b)
-        endo = gh_inv @ lowered.T
-        for j in (1, 2, 3):
-            ik = geom.i_mu[j]
-            worst = np.maximum(worst, np.abs(endo @ ik - ik @ endo).max())
+    for ik in geom.i_mu[1:]:
+        worst = np.maximum(worst, np.abs(endo @ ik - ik @ endo).max())
     return float(worst)
+
+
+def raised_trials(geom: GeometryAt, r1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The (HK_TRIALS, d, d) endomorphisms g_h^-1 r1(A, B, ., .)^T of hk_type_residual's
+    trials, stacked: one draw gives the stream of A then B per trial, each row is normalized
+    as on its own, and one einsum forms the transposed lowered forms, each entry rounded as
+    the trial's own einsum."""
+    pairs = rng.standard_normal((HK_TRIALS, 2, geom.d))
+    for row in pairs.reshape(-1, geom.d):
+        row /= np.linalg.norm(row)
+    return np.linalg.inv(geom.g_h) @ np.einsum("abcx,ta,tb->txc", r1, pairs[:, 0], pairs[:, 1])
 
 
 def substitute_last_slots(tensor: np.ndarray, endo: np.ndarray) -> np.ndarray:

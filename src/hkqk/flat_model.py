@@ -152,12 +152,12 @@ def constant_tensors(params: ModelParams) -> ConstantTensors:
 
 
 def vector_z(params: ModelParams, coords: np.ndarray) -> np.ndarray:
-    """Generator of the rotating circle action at a point: (y_j, -x_j) on the z-block."""
+    """Generator of the rotating circle action, at a point or a stack: (y_j, -x_j) on the z-block."""
     q = params.q
-    out = np.zeros(params.d)
-    zc = coords[: 2 * q]
-    out[0: 2 * q: 2] = zc[1::2]
-    np.negative(zc[0::2], out=out[1: 2 * q: 2])
+    out = np.zeros(np.shape(coords)[:-1] + (params.d,))
+    zc = coords[..., : 2 * q]
+    out[..., 0: 2 * q: 2] = zc[..., 1::2]
+    np.negative(zc[..., 0::2], out=out[..., 1: 2 * q: 2])
     return out
 
 
@@ -167,9 +167,23 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     f_z = (|z_0|^2 - sum_{j>=1} |z_j|^2)/2 - c/2 must stay positive; f_h is its
     reflection -f_z - c, and f_h = f_z + g(Z, Z) ties the two together. Every
     evaluation at a point passes through here, so this is where the coordinates
-    are checked: a flat vector of length d = 4(m+1) with finite entries.
+    are checked: a flat vector of length d = 4(m+1) with finite entries. At the rows
+    of an (n, d) stack the three are (n,) arrays, rounded as at each row alone; the
+    checks run on all rows at once, and the first row that fails raises as it would alone.
     """
     coords = np.asarray(coords, dtype=float)
+    if coords.ndim == 2 and coords.shape[1] == params.d:
+        with np.errstate(over="ignore", invalid="ignore"):  # only refused rows overflow
+            zs = coords[:, : 2 * params.q]
+            z2 = zs[:, 0::2] * zs[:, 0::2] + zs[:, 1::2] * zs[:, 1::2]
+            base = z2[:, 0] - np.add.reduce(z2[:, 1:], axis=1)
+            f_z, f_h = 0.5 * base - 0.5 * params.c, -0.5 * base - 0.5 * params.c
+            top = np.abs(zs).max(axis=1)
+            ok = (np.isfinite(coords).all(axis=1) & np.isfinite(zs.shape[1] * top * top)
+                  & np.isfinite(8.0 * f_h * f_h) & (f_z > DOMAIN_EPS))
+        if not ok.all():
+            scalars(params, coords[ok.argmin()])
+        return f_z, f_h, -base
     if coords.shape != (params.d,):
         raise ValueError(f"coordinates must be a flat vector of length 4(m+1) = {params.d}, "
                          f"got shape {coords.shape}")
@@ -210,7 +224,8 @@ class GeometryAt(ConstantTensors):
     four lowered contractions of the rotating field with ``omega_mu``;
     ``k_compare`` is the endomorphism carrying g_h back to g, multiplication
     by f_z off the quaternionic span of the rotating field and by f_z^2/f_h
-    along it.
+    along it. A snapshot of an (n, d) stack of points holds every point-dependent
+    field with a leading axis of length n, f_z, f_h and g_zz as (n,) arrays.
     """
 
     params: ModelParams
@@ -262,52 +277,30 @@ def alpha_gather(m: int, corrupt_omega2: bool) -> tuple[np.ndarray, np.ndarray, 
 
 def deformed_metric(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     """The deformed metric g_h = g/f_z + (sum_mu alpha_mu^2)/f_z^2, positive-definite on the domain:
-    (d, d) at one point, or (n, d, d) at the rows of an (n, d) stack. A stack's f_z rounds as in
-    scalars, its checks run on all rows at once, and scalars raises for the first that fails."""
+    (d, d) at one point, or (n, d, d) at the rows of an (n, d) stack, checked as in scalars."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape[1:] != (params.d,):  # one point, or the shape error of a stack
-        f_z = scalars(params, coords)[0]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # only refused rows overflow
-            zs = coords[:, : 2 * params.q]
-            z2 = zs[:, 0::2] * zs[:, 0::2] + zs[:, 1::2] * zs[:, 1::2]
-            base = z2[:, 0] - np.add.reduce(z2[:, 1:], axis=1)
-            f_z, f_h = 0.5 * base - 0.5 * params.c, -0.5 * base - 0.5 * params.c
-            top = np.abs(zs).max(axis=1)
-            ok = (np.isfinite(coords).all(axis=1) & np.isfinite(zs.shape[1] * top * top)
-                  & np.isfinite(8.0 * f_h * f_h) & (f_z > DOMAIN_EPS))
-        if not ok.all():
-            scalars(params, coords[ok.argmin()])
-        f_z = f_z[:, None, None]
+    f_z = scalars(params, coords)[0]
     index, sign, g = alpha_gather(params.m, params.corrupt_omega2)
-    return _metric_data(g, f_z, coords[..., index] * sign)[1]
+    return _metric_data(g, f_z[..., None, None], coords[..., index] * sign)[1]
 
 
 def geometry_at(params: ModelParams, coords: np.ndarray) -> GeometryAt:
-    """Evaluate the full geometric snapshot at one point of the domain."""
+    """Evaluate the full geometric snapshot at one point of the domain, or at the rows of an
+    (n, d) stack: each point-dependent field then gains a leading axis of length n."""
     consts = constant_tensors(params)
     coords = np.asarray(coords, dtype=float)
     f_z, f_h, g_zz = scalars(params, coords)
-    d = params.d
     z = vector_z(params, coords)
+    # alpha_mu = omega_mu(Z, .) = g(I_mu Z, .); each row of alpha_map and i_map holds one +/-1,
+    # so z @ map.T rounds as map @ z
+    alpha = (z @ consts.alpha_map.T).reshape(z.shape[:-1] + (4, -1))
+    f_z3 = f_z[..., None, None]
+    g_alpha, g_h = _metric_data(consts.g, f_z3, alpha)
+    k = f_z3 * np.eye(params.d) - (f_z3 / f_h[..., None, None]) * _stacked_sum(
+        (z @ consts.i_map.T).reshape(alpha.shape), alpha)
 
-    alpha = (consts.alpha_map @ z).reshape(4, -1)  # alpha_mu = omega_mu(Z, .) = g(I_mu Z, .)
-    g_alpha, g_h = _metric_data(consts.g, f_z, alpha)
-    k = f_z * np.eye(d) - (f_z / f_h) * _stacked_sum((consts.i_map @ z).reshape(4, -1), alpha)
-
-    return GeometryAt(
-        **vars(consts),
-        params=params,
-        coords=coords,
-        k_compare=k,
-        z_rot=z,
-        alpha=alpha,
-        f_z=f_z,
-        f_h=f_h,
-        g_zz=g_zz,
-        g_h=g_h,
-        g_alpha=g_alpha,
-    )
+    return GeometryAt(**vars(consts), params=params, coords=coords, k_compare=k, z_rot=z,
+                      alpha=alpha, f_z=f_z, f_h=f_h, g_zz=g_zz, g_h=g_h, g_alpha=g_alpha)
 
 
 def random_valid_point(params: ModelParams, rng: np.random.Generator,

@@ -118,28 +118,30 @@ def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
     The step is scaled per coordinate, h = step * max(1, |coords[k]|). The default is the
     two-point second-order stencil (field(p + h e) - field(p - h e)) / (2 h); order=4 selects
     the five-point stencil for fields whose higher derivatives blow up near the domain edge.
-    The shifted points are the rows of one array, k outer and the offsets +2h, +h, -h, -2h
-    inner, all in one call to a stacked field; each value goes into one buffer, on which the
-    formula runs once, in place. A DomainViolation at a point is raised again, chained, naming
-    k, the offset and h; after a stacked field's, the points are replayed one at a time.
+    The shifted points are the rows of one array, the offsets +2h, +h, -h, -2h outer and k
+    inner. A stacked field takes them all in one call and returns a new array, which is then
+    the (offset, k, ...) buffer itself; a point-wise field's values are copied into one. The
+    formula runs once on it, in place. A DomainViolation at a point is raised again, chained,
+    naming k, the offset and h; after a stacked field's, the points are replayed one at a
+    time, k outer.
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     coords = np.asarray(coords, dtype=float)
     n, offsets = coords.size, np.array([1.0, -1.0] if order == 2 else [2.0, 1.0, -1.0, -2.0])
     h = step * np.fmax(np.abs(coords), 1.0)
-    points = np.tile(coords, (n, offsets.size, 1))  # [k, j]: offsets[j] * h[k] added to coords[k]
-    points[np.arange(n), :, np.arange(n)] += h[:, None] * offsets
+    points = np.tile(coords, (offsets.size, n, 1))  # [j, k]: offsets[j] * h[k] added to coords[k]
+    points[:, np.arange(n), np.arange(n)] += offsets[:, None] * h
     try:
-        values = field(points.reshape(-1, n)) if stacked else None
+        v = field(points.reshape(-1, n)) if stacked else None
     except DomainViolation:
-        values = None
-    if values is not None:  # v[j]: every field(p + offsets[j] h e)
-        v = np.swapaxes(values.reshape((n, offsets.size) + values.shape[1:]), 0, 1).copy()
-    for i, point in enumerate(points.reshape(-1, n) if values is None else ()):
+        v = None
+    if v is not None:
+        v = v.reshape((offsets.size, n) + v.shape[1:])
+    for i in range(n * offsets.size) if v is None else ():
         k, j = divmod(i, offsets.size)
         try:
-            value = field(point[None])[0] if stacked else field(point)
+            value = field(points[j, k][None])[0] if stacked else field(points[j, k])
         except DomainViolation as err:
             offset = ("+2h", "+h", "-h", "-2h")[j + (order == 2)]
             raise DomainViolation(f"{err}; at stencil coordinate {k}, offset {offset}, "

@@ -30,6 +30,7 @@ from hkqk.flat_model import (DOMAIN_EPS, ModelParams, deformed_metric, geometry_
                              outer_supports, point_with_f_z, random_valid_point)
 from hkqk.kulkarni import form_obar, form_owedge
 from hkqk.pseudo_linear import DEFAULT_FD_STEP, check_pair_antisymmetry, finite_diff_gradient
+from test_flat_model import edge_points
 from test_kulkarni import reference_sum
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
@@ -274,13 +275,21 @@ def nest_point(params, seed):
     return coords
 
 
+def term_ds_fd_by_point(geom, correction):
+    """term_ds_fd with one snapshot and one correction call per outer stencil point."""
+    d_s = finite_diff_gradient(lambda c: correction(geometry_at(geom.params, c)), geom.coords)
+    return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
+
+
 def plain_nest(geom):
-    """The nest of t_tensor_defining with one deformed_metric call per stencil point."""
-    return t_from_parts(geom, s_parts_tensor(geom), term_ds_fd(geom, s_parts_tensor))
+    """The nest of t_tensor_defining with one snapshot per outer point and one deformed_metric
+    call per inner stencil point."""
+    return t_from_parts(geom, s_parts_tensor(geom), term_ds_fd_by_point(geom, s_parts_tensor))
 
 
 class TestStackedNest:
-    """t_tensor_defining evaluates each inner Koszul stencil as one deformed_metric stack."""
+    """t_tensor_defining evaluates its outer stencil as stacked snapshots and each inner
+    Koszul stencil as one deformed_metric stack."""
 
     @pytest.mark.parametrize("m", [0, 1, 3, 7])
     @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
@@ -304,9 +313,15 @@ class TestStackedNest:
         lowered = rtilde_direct(geom)
         assert np.array_equal(bits(results[0]), bits(expected))
         assert np.array_equal(bits(lowered), bits(np.einsum("iabc,ix->abcx", expected, geom.g_h)))
-        # the centre's 4d points one at a time, then one stack of 4d rows per outer point
+        # one stack of 4d rows for the centre's S^h, then one per outer point
         d = params.d
-        assert shapes == [(d,)] * 4 * d + [(4 * d, d)] * 2 * d
+        assert shapes == [(4 * d, d)] * (1 + 2 * d)
+        if m <= 3:
+            # a centre S^h from the caller is used as it is, and no stencil runs for it
+            s_h = s_h_tensor(geom)
+            shapes.clear()
+            assert np.array_equal(bits(rtilde_direct(geom, s_h=s_h)), bits(lowered))
+            assert shapes == [(4 * d, d)] * 2 * d
 
     @pytest.mark.parametrize("f_z, seed, message", [
         # the centre's own stencil leaves the domain
@@ -324,6 +339,77 @@ class TestStackedNest:
             rtilde_direct(geom)
         assert str(err.value) == message
         assert type(err.value.__cause__) is DomainViolation
+
+
+class TestStackedCorrections:
+    """The corrections at a stacked snapshot are those at each row, and term_ds_fd's stacked
+    outer stencil gives what one snapshot per point gives, bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, 8, 9])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_stack_is_the_rows(self, m, c, corrupt):
+        params = ModelParams(m, c, corrupt_omega2=corrupt)
+        points = edge_points(m, c)[:2] + edge_points(m, c)[-2:]
+        stack = geometry_at(params, np.stack(points))
+        for correction in (s_closed_tensor, s_q_tensor, s_h_tensor):
+            rows = np.stack([correction(geometry_at(params, point)) for point in points])
+            assert np.array_equal(bits(correction(stack)), bits(rows)), correction.__name__
+        # the outer stencil is one block at m <= 1, four at m = 3 and 2d of one row at m = 7;
+        # the Koszul route, whose nest TestStackedNest covers, where it is cheap
+        geom = geometry_at(params, points[0])
+        for correction in (s_closed_tensor, s_parts_tensor)[:(m <= 7) + (m <= 1)]:
+            assert np.array_equal(bits(term_ds_fd(geom, correction)),
+                                  bits(term_ds_fd_by_point(geom, correction)))
+
+    @pytest.mark.parametrize("f_z, seed, message", [
+        # the first point of coordinate 0's stencil passes, the second leaves the domain
+        (1e-4, 1, "f_z = -1.871e-04 is not positive (threshold 1e-08); "
+                  "at stencil coordinate 0, offset -h, h = 5.358e-05"),
+        # both points of coordinate 0 pass
+        (2.5e-4, 2, "f_z = -7.388e-04 is not positive (threshold 1e-08); "
+                    "at stencil coordinate 1, offset +h, h = 9.944e-05"),
+    ])
+    def test_closed_route_domain_violation_text(self, f_z, seed, message):
+        params = ModelParams(1, 100.0)
+        geom = geometry_at(params, point_with_f_z(params, f_z, np.random.default_rng(seed)))
+        with pytest.raises(DomainViolation) as err:
+            term_ds_fd(geom, s_closed_tensor)
+        assert str(err.value) == message
+        assert type(err.value.__cause__) is DomainViolation
+
+    @pytest.mark.parametrize("f_z, seed", [(1e-3, 0), (2.5e-3, 2)])
+    def test_closed_route_stays_inside_where_the_nest_leaves(self, f_z, seed):
+        # the points of TestStackedNest's edge texts: the closed route's stencil takes one
+        # step, the Koszul nest's reaches 2h further
+        params = ModelParams(1, 100.0)
+        geom = geometry_at(params, point_with_f_z(params, f_z, np.random.default_rng(seed)))
+        assert np.array_equal(bits(term_ds_fd(geom, s_closed_tensor)),
+                              bits(term_ds_fd_by_point(geom, s_closed_tensor)))
+
+    def test_violation_in_the_second_row_block_only(self, monkeypatch):
+        # at m = 4 a block is 4 rows: +h on coordinates 0..3, then +h on 4..7, where +h on
+        # x_2 = 2 takes f_z = 3e-5 below zero; -h on x_0 = y_0 takes less than f_z
+        params = ModelParams(4)
+        point = np.zeros(params.d)
+        point[[0, 1, 4]] = np.sqrt(2.0 + 3e-5), np.sqrt(2.0 + 3e-5), 2.0
+        geom = geometry_at(params, point)
+        blocks = []
+
+        def recorded(params, coords):
+            blocks.append([len(coords), "raised"])
+            result = geometry_at(params, coords)
+            blocks[-1][1] = "passed"
+            return result
+
+        monkeypatch.setattr(correspondence, "geometry_at", recorded)
+        with pytest.raises(DomainViolation) as err:
+            term_ds_fd(geom, s_closed_tensor)
+        assert str(err.value) == ("f_z = -1.000e-05 is not positive (threshold 1e-08); "
+                                  "at stencil coordinate 4, offset +h, h = 2.000e-05")
+        # two stacked blocks, then the replay one point at a time up to the failing one
+        assert blocks[:2] == [[4, "passed"], [4, "raised"]]
+        assert blocks[2:] == [[1, "passed"]] * 8 + [[1, "raised"]]
 
 
 class TestCurvatureRoutes:

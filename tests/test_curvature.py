@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hkqk import cli, curvature, flat_model
 from hkqk.correspondence import rtilde_closed, twist_support
 from hkqk.curvature import (
+    HK_TRIALS,
     SPLIT_NU,
     alekseevsky_split,
     curvature_norm_closed,
@@ -20,6 +21,7 @@ from hkqk.curvature import (
     k_trace_residuals,
     norm_report,
     quadcov_in_frame,
+    raised_trials,
     scalar_curvature,
     substitute_last_slots,
     trace_k_powers,
@@ -365,6 +367,23 @@ class TestSplit:
             geom = geometry(m, c, rng)
             _, r1 = alekseevsky_split(geom, rtilde_closed(geom))
             assert hk_type_residual(geom, r1, rng) < 1e-8
+
+    @pytest.mark.parametrize("m, c", [(m, c) for m in (0, 1, 3) for c in (0.0, 1.0, 100.0)]
+                             + [(7, 1.0), (8, 100.0)])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_stacked_trials_are_the_trials_one_at_a_time(self, m, c, corrupt):
+        params = ModelParams(m, c, corrupt_omega2=corrupt)
+        geom = geometry_at(params, random_valid_point(params, np.random.default_rng(m)))
+        _, r1 = alekseevsky_split(geom, rtilde_closed(geom))
+        rng, gh_inv, expected = np.random.default_rng(7), np.linalg.inv(geom.g_h), []
+        for _ in range(HK_TRIALS):
+            a = rng.standard_normal(geom.d)
+            b = rng.standard_normal(geom.d)
+            a /= np.linalg.norm(a)
+            b /= np.linalg.norm(b)
+            expected.append(gh_inv @ np.einsum("abcx,a,b->cx", r1, a, b).T)
+        got = raised_trials(geom, r1, np.random.default_rng(7))
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
 
     def test_model_part_alone_fails_commutation_check(self, rng):
         # negative control: the model-space block is not of the remainder type

@@ -1,6 +1,7 @@
 """Model construction: constant tensors, scalars, geometry snapshots, identities."""
 
 import dataclasses
+import functools
 import re
 import warnings
 
@@ -281,6 +282,39 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+@functools.lru_cache(maxsize=None)
+def edge_points(m, c):
+    """Read-only random domain points of ModelParams(m, c) and the edge cases of the
+    kernels' rounding: exact zeros of both signs, an f_z whose square C pow rounds apart
+    from f_z * f_z, and a coordinate whose x ** 2 rounds apart from x * x."""
+    params, rng = ModelParams(m, c), np.random.default_rng(1000 * m + int(c))
+    points = [random_valid_point(params, rng) for _ in range(40)]
+    for point in points[::4]:
+        # exact zeros of both signs, away from z_0 so that the point stays valid
+        point[rng.integers(2, params.d, 3)] = 0.0
+        point[rng.integers(2, params.d)] = -0.0
+    # about 1 in 1000 f_z has a square that C pow rounds apart from f_z * f_z
+    while True:
+        point = random_valid_point(params, rng)
+        f_z = scalars(params, point)[0]
+        if f_z ** 2 != f_z * f_z:
+            points.append(point)
+            break
+    # and about 1 in 1000 coordinates: x ** 2 is C pow, which rounds apart from the
+    # reference's x * x; with the rest of the z-block 0, g(Z, Z) = -x_0 * x_0 exactly
+    point = random_valid_point(params, rng)
+    point[:2 * params.q] = 0.0
+    while point[0] ** 2 == point[0] * point[0]:
+        point[0] = rng.uniform(8.0, 16.0) * np.sqrt(1.0 + params.c)  # f_z > 30
+    points.append(point)
+    for point in points:
+        point.flags.writeable = False
+    return tuple(points)
+
+
+GEOMETRY_FIELDS = ("coords", "k_compare", "z_rot", "alpha", "f_z", "f_h", "g_zz", "g_h", "g_alpha")
+
+
 class TestKernelsMatchReference:
     # from m = 8 the z-block sum in scalars has 8 or more terms and numpy sums it pairwise
     @pytest.mark.parametrize("m", [0, 1, 3, 7, 8, 9])
@@ -290,26 +324,7 @@ class TestKernelsMatchReference:
         # stacked products and broadcast outer products round exactly as the formulas
         # written one term at a time, down to the sign of every zero
         params = ModelParams(m, c, corrupt_omega2=corrupt)
-        rng = np.random.default_rng(1000 * m + int(c))
-        points = [random_valid_point(params, rng) for _ in range(40)]
-        for point in points[::4]:
-            # exact zeros of both signs, away from z_0 so that the point stays valid
-            point[rng.integers(2, params.d, 3)] = 0.0
-            point[rng.integers(2, params.d)] = -0.0
-        # about 1 in 1000 f_z has a square that C pow rounds apart from f_z * f_z
-        while True:
-            point = random_valid_point(params, rng)
-            f_z = scalars(params, point)[0]
-            if f_z ** 2 != f_z * f_z:
-                points.append(point)
-                break
-        # and about 1 in 1000 coordinates: x ** 2 is C pow, which rounds apart from the
-        # reference's x * x; with the rest of the z-block 0, g(Z, Z) = -x_0 * x_0 exactly
-        point = random_valid_point(params, rng)
-        point[:2 * params.q] = 0.0
-        while point[0] ** 2 == point[0] * point[0]:
-            point[0] = rng.uniform(8.0, 16.0) * np.sqrt(1.0 + params.c)  # f_z > 30
-        points.append(point)
+        points = edge_points(m, c)
         for point in points:
             expected = reference_kernels(params, point)
             geom = geometry_at(params, point)
@@ -328,6 +343,13 @@ class TestKernelsMatchReference:
         for stack in (stack, shifted.reshape(-1, params.d)):
             rows = np.stack([deformed_metric(params, point) for point in stack])
             assert np.array_equal(bits(deformed_metric(params, stack)), bits(rows))
+            # a stacked snapshot holds each row's snapshot, field by field
+            stacked, alone = geometry_at(params, stack), [geometry_at(params, p) for p in stack]
+            for name in GEOMETRY_FIELDS:
+                rows = np.stack([getattr(geom, name) for geom in alone])
+                assert np.array_equal(bits(getattr(stacked, name)), bits(rows)), name
+            assert np.array_equal(bits(scalars(params, stack)), bits([scalars(params, p)
+                                                                      for p in stack]).T)
 
     def test_domain_and_shape_messages(self):
         params = ModelParams(0, 1.0)
@@ -370,9 +392,10 @@ class TestKernelsMatchReference:
                 stack = np.stack([valid] * i + [coords, later, valid])
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    with pytest.raises(type(expected.value),
-                                       match=f"^{re.escape(str(expected.value))}$"):
-                        deformed_metric(params, stack)
+                    for evaluate in (scalars, deformed_metric, geometry_at):
+                        with pytest.raises(type(expected.value),
+                                           match=f"^{re.escape(str(expected.value))}$"):
+                            evaluate(params, stack)
 
 
 class TestAlphaGather:
