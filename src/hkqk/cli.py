@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -169,9 +169,9 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     res: dict[str, float] = {}
     gh, oh = geom.g_h, geom.omega_h
 
+    metric = partial(fm.deformed_metric, config.params)
     sc = corr.s_closed_tensor(geom)
-    sh = corr.s_h_tensor(geom, step=step,
-                         metric=lambda points: fm.deformed_metric(config.params, points))
+    sh = corr.s_h_tensor(geom, step=step, metric=metric)
     sq = corr.s_q_tensor(geom)
     res["s_parts_vs_closed_rel"] = float(np.abs(sh + sq - sc).max() / np.abs(sc).max())
     # each structural defect is in units of the terms it sums, floored at 1
@@ -183,8 +183,7 @@ def _correspondence_residuals(config: RunConfig, geom: fm.GeometryAt):
     torsion = sc - np.einsum("iba->iab", sc) - np.einsum("ab,i->iab", oh, geom.z_rot) / geom.f_h
     res["s_torsion_formula"] = float(np.abs(torsion).max())
 
-    d_gh = finite_diff_gradient(lambda c: fm.deformed_metric(config.params, c), geom.coords,
-                                step=step, stacked=True)
+    d_gh = finite_diff_gradient(metric, geom.coords, step=step)
     compat = (d_gh - np.einsum("iab,ic->abc", sc, gh) - np.einsum("iac,ib->abc", sc, gh))
     res["s_metric_compatibility"] = float(np.abs(compat).max() / max(1.0, np.abs(d_gh).max()))
 

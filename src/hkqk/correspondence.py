@@ -62,15 +62,14 @@ def s_h_tensor(geom: GeometryAt, *, step: float = DEFAULT_FD_STEP,
     powers of f_z, and near the domain edge the three-point stencil cannot
     reach the relative accuracy this route is held to. ``metric`` gives g_h at
     a stack of stencil points, the whole stencil in one call; by default each
-    point is one deformed_metric call. A stacked snapshot takes one stencil per
-    point and one batched solve.
+    point is one deformed_metric call, the call shape the benchmark's tracer
+    test pins. A stacked snapshot takes one stencil per point and one batched solve.
     """
     params, d = geom.params, geom.d
-    field = metric or (lambda c: deformed_metric(params, c))
+    field = metric or (lambda points: np.stack([deformed_metric(params, p) for p in points]))
     d_gh = np.empty(geom.coords.shape[:-1] + (d,) * 3)
     for centre, out in zip(geom.coords.reshape(-1, d), d_gh.reshape(-1, d, d, d)):
-        out[...] = finite_diff_gradient(field, centre, step=step, order=4,
-                                        stacked=metric is not None)
+        out[...] = finite_diff_gradient(field, centre, step=step, order=4)
     rhs = d_gh + np.einsum("...bca->...abc", d_gh) - np.einsum("...cab->...abc", d_gh)
     return _solve_koszul(geom.g_h, rhs)
 
@@ -182,7 +181,7 @@ def term_ds_fd(geom: GeometryAt, correction: Callable[[GeometryAt], np.ndarray],
             values[r0:r0 + rows] = correction(geometry_at(params, points[r0:r0 + rows]))
         return values
 
-    d_s = finite_diff_gradient(field, geom.coords, step=step, stacked=True)
+    d_s = finite_diff_gradient(field, geom.coords, step=step)
     return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
 
 

@@ -14,7 +14,6 @@ the twist two-form, and it verifies the differential identities relating them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
@@ -167,50 +166,41 @@ def scalars(params: ModelParams, coords: np.ndarray) -> tuple[float, float, floa
     f_z = (|z_0|^2 - sum_{j>=1} |z_j|^2)/2 - c/2 must stay positive; f_h is its
     reflection -f_z - c, and f_h = f_z + g(Z, Z) ties the two together. Every
     evaluation at a point passes through here, so this is where the coordinates
-    are checked: a flat vector of length d = 4(m+1) with finite entries. At the rows
-    of an (n, d) stack the three are (n,) arrays, rounded as at each row alone; the
-    checks run on all rows at once, and the first row that fails raises as it would alone.
+    are checked: a flat vector of length d = 4(m+1), or an (n, d) stack of such rows, with
+    finite entries. A stack gives the three as (n,) arrays, rounded as at each row alone; a
+    point is the one-row stack and gives its row as np.float64, whose powers overflow to inf
+    rather than raise. The checks run on all rows at once, and the first row that fails
+    raises its first failed check: non-finite, then 2q top^2, then 8 f_h^2, then f_z.
     """
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 2 and coords.shape[1] == params.d:
-        with np.errstate(over="ignore", invalid="ignore"):  # only refused rows overflow
-            zs = coords[:, : 2 * params.q]
-            z2 = zs[:, 0::2] * zs[:, 0::2] + zs[:, 1::2] * zs[:, 1::2]
-            base = z2[:, 0] - np.add.reduce(z2[:, 1:], axis=1)
-            f_z, f_h = 0.5 * base - 0.5 * params.c, -0.5 * base - 0.5 * params.c
-            top = np.abs(zs).max(axis=1)
-            ok = (np.isfinite(coords).all(axis=1) & np.isfinite(zs.shape[1] * top * top)
-                  & np.isfinite(8.0 * f_h * f_h) & (f_z > DOMAIN_EPS))
-        if not ok.all():
-            scalars(params, coords[ok.argmin()])
-        return f_z, f_h, -base
-    if coords.shape != (params.d,):
+    if coords.ndim not in (1, 2) or coords.shape[-1] != params.d:
         raise ValueError(f"coordinates must be a flat vector of length 4(m+1) = {params.d}, "
                          f"got shape {coords.shape}")
-    # a Python list is checked faster than a small array
-    values = coords.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError("coordinates contain non-finite entries")
-    # refused first, naming the coordinate, where 2q top^2 overflows; the checks below would
-    # refuse such a point too (base is then inf, nan, 0 or above 1e280)
-    zs = values[: 2 * params.q]
-    top = max(map(abs, zs))
-    if not math.isfinite(len(zs) * top * top):
-        raise DomainViolation(f"a z-coordinate of magnitude {top:.3e} is out of range: "
-                              f"|z|^2 is not finite")
-    # in Python floats, rounded as numpy rounds them: squares as x * x (x ** 2 is C pow) and the
-    # z-block sum by numpy; 8 f_h^2, the largest product formed, overflows without a warning
-    pairs = iter(zs)
-    z2 = [x * x + y * y for x, y in zip(pairs, pairs)]
-    base = z2[0] - float(np.add.reduce(z2[1:]))
-    f_z = 0.5 * base - 0.5 * params.c
-    f_h = -0.5 * base - 0.5 * params.c
-    if not math.isfinite(8.0 * f_h * f_h):
-        raise DomainViolation(f"f_z = {f_z:.3e} and f_h = {f_h:.3e} are out of range: "
-                              f"8 f_h^2 is not finite")
-    if f_z <= DOMAIN_EPS:
-        raise DomainViolation(f"f_z = {f_z:.3e} is not positive (threshold {DOMAIN_EPS:.0e})")
-    return np.float64(f_z), np.float64(f_h), np.float64(-base)  # powers overflow to inf, not raise
+    rows = coords.reshape(-1, params.d)
+    with np.errstate(over="ignore", invalid="ignore"):  # only refused rows overflow
+        zs = rows[:, : 2 * params.q]
+        # squares as x * x (x ** 2 is C pow); 8 f_h^2 is the largest product formed
+        z2 = zs[:, 0::2] * zs[:, 0::2] + zs[:, 1::2] * zs[:, 1::2]
+        base = z2[:, 0] - np.add.reduce(z2[:, 1:], axis=1)
+        f_z, f_h = 0.5 * base - 0.5 * params.c, -0.5 * base - 0.5 * params.c
+        top = np.abs(zs).max(axis=1)
+        checks = (np.isfinite(rows).all(axis=1), np.isfinite(zs.shape[1] * top * top),
+                  np.isfinite(8.0 * f_h * f_h), f_z > DOMAIN_EPS)
+    ok = np.logical_and.reduce(checks)
+    if not ok.all():
+        r = ok.argmin()
+        if not checks[0][r]:
+            raise ValueError("coordinates contain non-finite entries")
+        # refused first, naming the coordinate, where 2q top^2 overflows; the checks below
+        # would refuse such a point too (base is then inf, nan, 0 or above 1e280)
+        if not checks[1][r]:
+            raise DomainViolation(f"a z-coordinate of magnitude {top[r]:.3e} is out of range: "
+                                  f"|z|^2 is not finite")
+        if not checks[2][r]:
+            raise DomainViolation(f"f_z = {f_z[r]:.3e} and f_h = {f_h[r]:.3e} are out of range: "
+                                  f"8 f_h^2 is not finite")
+        raise DomainViolation(f"f_z = {f_z[r]:.3e} is not positive (threshold {DOMAIN_EPS:.0e})")
+    return (f_z, f_h, -base) if coords.ndim == 2 else (f_z[0], f_h[0], -base[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,14 +329,12 @@ def verify_differential_identities(geom: GeometryAt,
     params, coords = geom.params, geom.coords
     g, dz = geom.g, geom.dz
     omega = geom.omega_mu
-    i_mats = geom.i_mu
 
-    def alphas(c):
-        z = vector_z(params, c)
-        return [g @ (i_mu @ z) for i_mu in i_mats]
-
-    # d alpha_mu by finite differences: dA[a,b] = d_a A_b - d_b A_a
-    grad = finite_diff_gradient(alphas, coords, step=step)
+    # d alpha_mu by finite differences: dA[a,b] = d_a A_b - d_b A_a; each row of g I_mu holds
+    # one +/-1, so z @ (g I_mu).T rounds as g @ (I_mu @ z)
+    lowered = np.concatenate([(g @ i_mu).T for i_mu in geom.i_mu], axis=1)
+    grad = finite_diff_gradient(lambda c: (vector_z(params, c) @ lowered).reshape(-1, 4, geom.d),
+                                coords, step=step)
     d_alpha = [grad[:, mu] - grad[:, mu].T for mu in range(4)]
 
     res: dict[str, float] = {}
@@ -358,7 +346,7 @@ def verify_differential_identities(geom: GeometryAt,
     res["rotating_lie_omega2_eq_omega3"] = float(np.abs(d_alpha[2] - omega[3]).max())
     res["rotating_lie_omega3_eq_minus_omega2"] = float(np.abs(d_alpha[3] + omega[2]).max())
 
-    grad_f = finite_diff_gradient(lambda c: scalars(params, c)[:2], coords, step=step)
+    grad_f = finite_diff_gradient(lambda c: np.stack(scalars(params, c)[:2], -1), coords, step=step)
     res["moment_map_f_z"] = float(np.abs(geom.alpha[1] + grad_f[:, 0]).max())
     alpha_h = geom.g @ (geom.i_h @ geom.z_rot)
     res["moment_map_f_h"] = float(np.abs(alpha_h + grad_f[:, 1]).max())

@@ -110,20 +110,19 @@ def quadcov_to_lambda2_op(tensor: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return (signs[ii] * signs[jj])[:, None] * tensor.reshape(signs.size ** 2, -1)[np.ix_(ab, ab)].T
 
 
-def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
+def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray],
                          coords: np.ndarray, *, step: float = DEFAULT_FD_STEP,
-                         order: int = 2, stacked: bool = False) -> np.ndarray:
+                         order: int = 2) -> np.ndarray:
     """Central differences of a field along every coordinate; the derivative index is axis 0.
 
     The step is scaled per coordinate, h = step * max(1, |coords[k]|). The default is the
     two-point second-order stencil (field(p + h e) - field(p - h e)) / (2 h); order=4 selects
     the five-point stencil for fields whose higher derivatives blow up near the domain edge.
     The shifted points are the rows of one array, the offsets +2h, +h, -h, -2h outer and k
-    inner. A stacked field takes them all in one call and returns a new array, which is then
-    the (offset, k, ...) buffer itself; a point-wise field's values are copied into one. The
-    formula runs once on it, in place. A DomainViolation at a point is raised again, chained,
-    naming k, the offset and h; after a stacked field's, the points are replayed one at a
-    time, k outer.
+    inner. The field takes them all in one call and returns a new array with a leading axis
+    of one value per row, which is then the (offset, k, ...) buffer itself; the formula runs
+    once on it, in place. After a DomainViolation the points are replayed as one-row stacks,
+    k outer, and the first one refused is raised again, chained, naming k, the offset and h.
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
@@ -133,23 +132,19 @@ def finite_diff_gradient(field: Callable[[np.ndarray], np.ndarray | float],
     points = np.tile(coords, (offsets.size, n, 1))  # [j, k]: offsets[j] * h[k] added to coords[k]
     points[:, np.arange(n), np.arange(n)] += offsets[:, None] * h
     try:
-        v = field(points.reshape(-1, n)) if stacked else None
-    except DomainViolation:
-        v = None
-    if v is not None:
-        v = v.reshape((offsets.size, n) + v.shape[1:])
-    for i in range(n * offsets.size) if v is None else ():
-        k, j = divmod(i, offsets.size)
-        try:
-            value = field(points[j, k][None])[0] if stacked else field(points[j, k])
-        except DomainViolation as err:
-            offset = ("+2h", "+h", "-h", "-2h")[j + (order == 2)]
-            raise DomainViolation(f"{err}; at stencil coordinate {k}, offset {offset}, "
-                                  f"h = {h[k]:.3e}") from err
-        if not i:
-            v = np.empty((offsets.size, n) + np.shape(value))
-        v[j, k] = value
-        del value  # so that the next call runs without it
+        v = field(points.reshape(-1, n))
+    except DomainViolation as err:
+        v = err
+    if isinstance(v, DomainViolation):
+        for k, j in np.ndindex(n, offsets.size):
+            try:
+                field(points[j, k][None])
+            except DomainViolation as err:
+                offset = ("+2h", "+h", "-h", "-2h")[j + (order == 2)]
+                raise DomainViolation(f"{err}; at stencil coordinate {k}, offset {offset}, "
+                                      f"h = {h[k]:.3e}") from err
+        raise v
+    v = v.reshape((offsets.size, n) + v.shape[1:])
     out = v[0]
     if order == 2:
         out -= v[1]

@@ -221,6 +221,24 @@ class TestKnownInputs:
         assert (row["max_residual"], row["passed"]) == (0.0, True)
         assert (code, failing_rows(out)) == (1, ["s_metric_compatibility"])
 
+    @pytest.mark.parametrize("seed,step,message,at", [
+        # the order-2 stencil of f_z and f_h in the differential identities
+        (0, "5e-3", "f_z = -1.356e-01", "at stencil coordinate 1, offset -h, h = 4.178e-02"),
+        # the order-4 stencil of g_h in S^h
+        (2, "9e-3", "f_z = -6.101e-01", "at stencil coordinate 0, offset +2h, h = 9.040e-02"),
+        # term_ds_fd's outer stencil over the Koszul S^h, and the g_h stencil inside it
+        (2, "5e-3", "f_z = -3.074e-01", "at stencil coordinate 0, offset +2h, h = 4.997e-02; "
+                                        "at stencil coordinate 0, offset +h, h = 5.022e-02"),
+    ], ids=["f", "s_h", "term_ds_fd"])
+    def test_stencil_leaving_the_domain_names_its_point(self, tmp_path, capsys, seed, step,
+                                                        message, at):
+        argv = ["verify", "--m", "0", "--c", "100", "--samples", "2", "--seed", str(seed),
+                "--fd-step", step]
+        code, out = run_json(tmp_path, argv)
+        assert (code, out.exists()) == (1, False)
+        assert capsys.readouterr().err == (f"error: {message} is not positive (threshold 1e-08); "
+                                           f"{at}\n")
+
     def test_gram_schmidt_defect_guard_refuses_an_ill_conditioned_frame(self, tmp_path, capsys):
         # cond(g_h) ~ 8e7 at f_z = 1e-3: the defect is 3e-17 of max(|V||B||V|^T), but a guard
         # scaled by that would let this point report norm_frame 38.20 for the closed 40

@@ -32,6 +32,7 @@ from hkqk.kulkarni import form_obar, form_owedge
 from hkqk.pseudo_linear import DEFAULT_FD_STEP, check_pair_antisymmetry, finite_diff_gradient
 from test_flat_model import edge_points
 from test_kulkarni import reference_sum
+from test_pseudo_linear import pointwise
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
 
@@ -231,11 +232,15 @@ class TestStencilMemory:
         params = ModelParams(7, 1.0)
         point = random_valid_point(params, np.random.default_rng(7))
 
-        def field(c):
-            return s_closed_tensor(geometry_at(params, c))
+        d = params.d
+
+        def field(points):  # one snapshot per row, written into one array
+            values = np.empty((len(points),) + (d,) * 3)
+            for row, c in zip(values, points):
+                row[...] = s_closed_tensor(geometry_at(params, c))
+            return values
 
         finite_diff_gradient(field, point)  # fill the caches
-        d = params.d
         tracemalloc.start()
         try:
             finite_diff_gradient(field, point)
@@ -277,7 +282,8 @@ def nest_point(params, seed):
 
 def term_ds_fd_by_point(geom, correction):
     """term_ds_fd with one snapshot and one correction call per outer stencil point."""
-    d_s = finite_diff_gradient(lambda c: correction(geometry_at(geom.params, c)), geom.coords)
+    d_s = finite_diff_gradient(pointwise(lambda c: correction(geometry_at(geom.params, c))),
+                               geom.coords)
     return np.einsum("aibc->iabc", d_s) - np.einsum("biac->iabc", d_s)
 
 

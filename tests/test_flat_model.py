@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hkqk import flat_model
 from hkqk.errors import DomainViolation
 from hkqk.flat_model import (
     ModelParams,
@@ -25,6 +26,8 @@ from hkqk.flat_model import (
     vector_z,
     verify_differential_identities,
 )
+from hkqk.pseudo_linear import finite_diff_gradient
+from test_pseudo_linear import reference_gradient
 
 CONFIGS = [(m, c) for m in (0, 1, 2) for c in (0.0, 0.5, 1.0)]
 
@@ -254,6 +257,37 @@ class TestDifferentialIdentities:
         }
         assert set(res) == expected
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 9])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_stencils_match_pointwise_fields_bit_for_bit(self, monkeypatch, m, corrupt):
+        # each entry of g I_mu Z is one signed coordinate: the stacked fields round as the
+        # point-wise ones, down to the sign of every zero of their values and gradients
+        params = ModelParams(m, 1.0, corrupt_omega2=corrupt)
+        for point in edge_points(m, 1.0)[:8:4]:  # with exact zeros of both signs
+            geom = geometry_at(params, point)
+            calls = []
+            monkeypatch.setattr(flat_model, "finite_diff_gradient", lambda field, *args, **kw: (
+                calls.append((field, finite_diff_gradient(field, *args, **kw))) or calls[-1][1]))
+            got = verify_differential_identities(geom)
+            fields = pointwise_identity_fields(geom)
+            grads = [reference_gradient(field, point) for field in fields]
+            replay = iter(grads)
+            monkeypatch.setattr(flat_model, "finite_diff_gradient", lambda *_, **__: next(replay))
+            expected = verify_differential_identities(geom)
+            for (field, grad), reference, expected_grad in zip(calls, fields, grads, strict=True):
+                assert np.array_equal(bits(field(point[None])[0]), bits(reference(point)))
+                assert np.array_equal(bits(grad), bits(expected_grad))
+            assert list(got) == list(expected)
+            assert np.array_equal(bits(list(got.values())), bits(list(expected.values())))
+
+
+def pointwise_identity_fields(geom):
+    """The two stencil fields of verify_differential_identities at one point: the four
+    alpha_mu = g @ (I_mu @ Z), and (f_z, f_h)."""
+    params = geom.params
+    return (lambda p: [geom.g @ (i_mu @ vector_z(params, p)) for i_mu in geom.i_mu],
+            lambda p: scalars(params, p)[:2])
+
 
 def reference_kernels(params, coords):
     """The model formulas one term at a time: vectors, sums of squares and outer
@@ -366,6 +400,10 @@ class TestKernelsMatchReference:
              "f_z = 5.000e+199 and f_h = -5.000e+199 are out of range: 8 f_h^2 is not finite"),
             ([0.5, 0.0, 3.0, 0.0], DomainViolation,
              "f_z = -3.750e-01 is not positive (threshold 1e-08)"),
+            (np.full((1, 1, 4), 2.0), ValueError,
+             "coordinates must be a flat vector of length 4(m+1) = 4, got shape (1, 1, 4)"),
+            (np.float64(2.0), ValueError,
+             "coordinates must be a flat vector of length 4(m+1) = 4, got shape ()"),
         ]
         for coords, error, message in cases:
             for evaluate in (scalars, deformed_metric, geometry_at):

@@ -326,7 +326,7 @@ class TestPairAntisymmetryCheck:
 class TestFiniteDiff:
     def test_constant_field_gives_zero(self):
         coords = np.array([0.3, -1.2, 2.0, 0.0])
-        out = finite_diff_gradient(lambda c: np.full((2, 2), 7.5), coords)[2]
+        out = finite_diff_gradient(pointwise(lambda c: np.full((2, 2), 7.5)), coords)[2]
         assert_allclose(out, 0.0, atol=1e-9)
 
     def test_hamiltonian_gradient_component(self):
@@ -373,14 +373,14 @@ class TestFiniteDiff:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_domain_violation_names_the_stencil_point(self, stacked):
-        # the point above fails at x_0 - h, after x_0 + h passed; a stacked field's points are
-        # replayed one at a time to name it
+        # the point above fails at x_0 - h, after x_0 + h passed; the points are replayed one
+        # at a time to name it
         params = ModelParams(0, 0.0)
         point = np.array([np.sqrt(2.1e-8), 0.0, 0.0, 0.0])
-        field = (lambda points: deformed_metric(params, points)) if stacked else (
+        field = (lambda points: deformed_metric(params, points)) if stacked else pointwise(
             lambda c: scalars(params, c)[0])
         with pytest.raises(DomainViolation) as err:
-            finite_diff_gradient(field, point, stacked=stacked)
+            finite_diff_gradient(field, point)
         cause = err.value.__cause__
         assert type(cause) is DomainViolation and re.fullmatch(
             r"f_z = \S+ is not positive \(threshold 1e-08\)", str(cause))
@@ -407,7 +407,7 @@ class TestFiniteDiff:
         def field(c):
             return c[0] ** 3 - 2.0 * c[0] * c[1] ** 2
 
-        deriv = finite_diff_gradient(field, coords, order=4)[0]
+        deriv = finite_diff_gradient(pointwise(field), coords, order=4)[0]
         assert_allclose(deriv, 3 * 0.4 ** 2 - 2 * 0.7 ** 2, rtol=1e-10)
 
     def test_rejects_unknown_order(self):
@@ -421,9 +421,15 @@ class TestFiniteDiff:
         point = random_valid_point(params, rng)
         fields = [lambda c: deformed_metric(params, c), lambda c: 2.0 * deformed_metric(params, c),
                   lambda c: deformed_metric(params, c) ** 3]
-        stacked = finite_diff_gradient(lambda c: [f(c) for f in fields], point, order=order)
-        separate = [finite_diff_gradient(f, point, order=order) for f in fields]
+        stacked = finite_diff_gradient(pointwise(lambda c: [f(c) for f in fields]), point,
+                                       order=order)
+        separate = [finite_diff_gradient(pointwise(f), point, order=order) for f in fields]
         assert np.array_equal(stacked, np.stack(separate, axis=1))
+
+
+def pointwise(field):
+    """A field of one point as a field of a stack of points, one call per row."""
+    return lambda points: np.array([field(p) for p in points])
 
 
 def reference_gradient(field, coords, *, step=DEFAULT_FD_STEP, order=2):
@@ -461,7 +467,7 @@ class TestStencilMatchesReference:
     @pytest.mark.parametrize("kind", sorted(STENCIL_FIELDS))
     def test_bit_for_bit(self, order, kind):
         field = STENCIL_FIELDS[kind]
-        got = finite_diff_gradient(field, STENCIL_COORDS, order=order)
+        got = finite_diff_gradient(pointwise(field), STENCIL_COORDS, order=order)
         expected = reference_gradient(field, STENCIL_COORDS, order=order)
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -474,12 +480,12 @@ class TestStencilMatchesReference:
         point[[4, 6]] = 0.0, -0.0
         for field in (lambda c: deformed_metric(params, c),
                       lambda c: s_closed_tensor(geometry_at(params, c))):
-            got = finite_diff_gradient(field, point, order=order)
+            got = finite_diff_gradient(pointwise(field), point, order=order)
             expected = reference_gradient(field, point, order=order)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         # deformed_metric as a stacked field: every point of the stencil in one call
         got = finite_diff_gradient(lambda points: deformed_metric(params, points), point,
-                                   order=order, stacked=True)
+                                   order=order)
         expected = reference_gradient(lambda c: deformed_metric(params, c), point, order=order)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -502,8 +508,8 @@ class TestStencilMatchesReference:
         with pytest.raises(DomainViolation) as expected:
             reference_gradient(field, coords, order=order)
         with pytest.raises(DomainViolation) as got:
-            finite_diff_gradient(stacked_field if stacked else field, coords, order=order,
-                                 stacked=stacked)
+            finite_diff_gradient(stacked_field if stacked else pointwise(field), coords,
+                                 order=order)
         offset = "+h" if order == 2 else "+2h"
         assert str(got.value.__cause__) == str(expected.value)
         assert str(got.value) == f"{expected.value}; at stencil coordinate 1, offset {offset}, h = 1.000e-05"
